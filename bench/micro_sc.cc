@@ -2,6 +2,8 @@
 // affinity construction with each method, spectral clustering, and the
 // per-device Fed-SC local stage.
 
+#include <string>
+
 #include <benchmark/benchmark.h>
 
 #include "cluster/spectral.h"
@@ -10,6 +12,7 @@
 #include "fed/partition.h"
 #include "linalg/svd.h"
 #include "sc/pipeline.h"
+#include "sc/ssc_admm.h"
 
 namespace fedsc {
 namespace {
@@ -25,15 +28,36 @@ Dataset MakeData(int64_t points_per_subspace, uint64_t seed) {
   return std::move(data).value();
 }
 
+// One SSC-ADMM solve at the (ambient dim n, points N) shapes the pipeline
+// dispatches — a 64-dim device's 20 and 80 points, a tall 1024-dim device —
+// plus one shape on the Woodbury side of the 2n < N rule. Real time, so the
+// direct/Woodbury crossover reads off in wall time.
 void BM_SscAdmm(benchmark::State& state) {
-  const Dataset data = MakeData(state.range(0), 1);
+  const int64_t dim = state.range(0);
+  const int64_t num_points = state.range(1);
+  SyntheticOptions options;
+  options.ambient_dim = dim;
+  options.subspace_dim = 3;
+  options.num_subspaces = 5;
+  options.points_per_subspace = num_points / options.num_subspaces;
+  options.seed = 1;
+  Matrix x = GenerateUnionOfSubspaces(options).value().points;
+  x.NormalizeColumns();
   for (auto _ : state) {
-    auto c = SscSelfExpression(data.points);
+    auto c = SscSelfExpression(x);
     benchmark::DoNotOptimize(c->nnz());
   }
-  state.SetLabel("N=" + std::to_string(data.points.cols()));
+  state.SetLabel(std::string(SscAdmmUsesWoodbury(dim, num_points)
+                                 ? "woodbury"
+                                 : "direct") +
+                 " N=" + std::to_string(num_points));
 }
-BENCHMARK(BM_SscAdmm)->Arg(20)->Arg(60)->Arg(160);
+BENCHMARK(BM_SscAdmm)
+    ->Args({64, 20})
+    ->Args({64, 80})
+    ->Args({1024, 50})
+    ->Args({16, 160})
+    ->UseRealTime();
 
 void BM_SscOmp(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), 2);

@@ -22,8 +22,8 @@ void SolveLowerTransposedInPlace(const Matrix& l, Matrix* b);
 // Solves A X = B for SPD A via Cholesky.
 Result<Matrix> SolveSpd(const Matrix& a, const Matrix& b);
 
-// Inverse of an SPD matrix (used by the Woodbury path of the ADMM solver,
-// where the matrix is small).
+// Inverse of an SPD matrix (the ADMM solvers' Z-update operators, formed
+// once per solve and applied every iteration).
 Result<Matrix> SpdInverse(const Matrix& a);
 
 }  // namespace fedsc

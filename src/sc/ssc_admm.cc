@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -48,19 +50,136 @@ double MutualCoherenceFloor(const Matrix& gram, int num_threads) {
   return mu;
 }
 
-double SoftThreshold(double v, double t) {
-  if (v > t) return v - t;
-  if (v < -t) return v + t;
-  return 0.0;
-}
-
 // The SYRK-backed Gram costs nn*(nn+1)*kk flops (half the GEMM's
 // 2*nn*kk*nn); recorded so --metrics-out makes the win visible.
 void RecordGramFlops(int64_t nn, int64_t kk) {
   FEDSC_METRIC_COUNTER("sc.ssc_admm.gram_flops").Add(nn * (nn + 1) * kk);
 }
 
+// Matrix-form ADMM for the self-expression Lasso in scaled dual form (Boyd
+// et al. 2011, §3.4), shared by the exact and the sketched solver. With H
+// the Z-update operator and P = H^{-1} (constant right-hand side) hoisted
+// out of the loop, one iteration is
+//   Z = P + rho H^{-1} (C - U),
+//   C = soft-threshold(Z + U, 1/rho), one pinned zero per column,
+//   U = U + Z - C.
+// Each iteration is one operator application, r = op(V), followed by one
+// fused pass (FusedUpdate) that forms Z and writes the next V = C - U.
+struct AdmmState {
+  // Starts from C = U = 0.
+  explicit AdmmState(Matrix constant_term)
+      : p(std::move(constant_term)),
+        c(p.rows(), p.cols()),
+        u(p.rows(), p.cols()),
+        v(p.rows(), p.cols()),
+        r(p.rows(), p.cols()) {}
+  Matrix p;  // H^{-1} (constant right-hand side)
+  Matrix c;
+  Matrix u;
+  Matrix v;  // C - U, the operator's next input
+  Matrix r;  // the operator's output; rho H^{-1} V = r + v_coef * V
+};
+
+// Affine mode: the rho 1 1^T penalty's Sherman-Morrison term,
+//   Z_j -= scale * (1^T Q_j + dual_j) * h_ones,   Q = rho H^{-1} V.
+struct AffineTerms {
+  Vector h_ones;       // rho H^{-1} 1
+  double scale = 0.0;  // 1 / (1 + 1^T rho H^{-1} 1)
+  Vector dual;         // scaled dual of 1^T Z = 1^T, one entry per column
+};
+
+// Independent accumulators for the stopping-rule maxima: they break the
+// loop-carried max chain, so UpdateRows vectorizes. Max is exact in any
+// order, so the residual does not depend on the lane count.
+constexpr int kLanes = 8;
+
+// Cache-line aligned, so the per-chunk slots of concurrent column chunks
+// never share a line.
+struct alignas(64) PassMaxima {
+  double dc[kLanes] = {};  // max |C_next - C|
+  double zc[kLanes] = {};  // max |Z - C_next|
+
+  double Residual() const {
+    double residual = 0.0;
+    for (int k = 0; k < kLanes; ++k) {
+      residual = std::max({residual, dc[k], zc[k]});
+    }
+    return residual;
+  }
+};
+
+// Rows [i0, i1) of one column: Z = P + R + v_coef V, C_next = soft-threshold
+// of Z + U at `threshold`, U += Z - C_next, V = C_next - U. Soft-thresholding
+// is w - clamp(w, -t, t), branch-free and bit-identical to the branchy form.
+void UpdateRows(int64_t i0, int64_t i1, double threshold, double v_coef,
+                const double* __restrict p, const double* __restrict r,
+                double* __restrict c, double* __restrict u,
+                double* __restrict v, PassMaxima* maxima) {
+  auto update = [&](int64_t i, int lane) {
+    const double z = p[i] + r[i] + v_coef * v[i];
+    const double w = z + u[i];
+    const double next = w - std::min(std::max(w, -threshold), threshold);
+    const double dc = std::fabs(next - c[i]);
+    const double gap = z - next;
+    const double zc = std::fabs(gap);
+    maxima->dc[lane] = std::max(maxima->dc[lane], dc);
+    maxima->zc[lane] = std::max(maxima->zc[lane], zc);
+    c[i] = next;
+    u[i] += gap;
+    v[i] = next - u[i];
+  };
+  const int64_t full = i0 + (i1 - i0) / kLanes * kLanes;
+  for (int64_t i = i0; i < full; i += kLanes) {
+    for (int lane = 0; lane < kLanes; ++lane) update(i + lane, lane);
+  }
+  for (int64_t i = full; i < i1; ++i) update(i, 0);
+}
+
+// The fused Z/C/U pass over columns [j0, j1) of `state`; entry
+// forbidden(j) of column j (negative for none) is pinned to zero: diag(C) =
+// 0, or a landmark's own atom. Columns are independent, so disjoint ranges
+// may run concurrently.
+template <typename Forbidden>
+void FusedUpdate(int64_t j0, int64_t j1, double threshold, double v_coef,
+                 AffineTerms* affine, const Forbidden& forbidden,
+                 AdmmState* state, PassMaxima* maxima) {
+  const int64_t rows = state->c.rows();
+  for (int64_t j = j0; j < j1; ++j) {
+    const double* pj = state->p.ColData(j);
+    double* rj = state->r.ColData(j);
+    double* cj = state->c.ColData(j);
+    double* uj = state->u.ColData(j);
+    double* vj = state->v.ColData(j);
+    if (affine != nullptr) {
+      // Fold the Sherman-Morrison term into R, then advance the dual with
+      // 1^T Z.
+      double& dual = affine->dual[static_cast<size_t>(j)];
+      double q_sum = 0.0;
+      for (int64_t i = 0; i < rows; ++i) q_sum += rj[i] + v_coef * vj[i];
+      const double shift = affine->scale * (q_sum + dual);
+      double z_sum = 0.0;
+      for (int64_t i = 0; i < rows; ++i) {
+        rj[i] -= shift * affine->h_ones[static_cast<size_t>(i)];
+        z_sum += pj[i] + rj[i] + v_coef * vj[i];
+      }
+      dual += z_sum - 1.0;
+    }
+    // An infinite threshold shrinks the pinned entry to exactly zero.
+    const int64_t pinned = forbidden(j);
+    const int64_t pin_begin = pinned < 0 ? rows : pinned;
+    const int64_t pin_end = pinned < 0 ? rows : pinned + 1;
+    UpdateRows(0, pin_begin, threshold, v_coef, pj, rj, cj, uj, vj, maxima);
+    UpdateRows(pin_begin, pin_end, std::numeric_limits<double>::infinity(),
+               v_coef, pj, rj, cj, uj, vj, maxima);
+    UpdateRows(pin_end, rows, threshold, v_coef, pj, rj, cj, uj, vj, maxima);
+  }
+}
+
 }  // namespace
+
+bool SscAdmmUsesWoodbury(int64_t dim, int64_t num_points) {
+  return 2 * dim < num_points;
+}
 
 double SscLambda(const Matrix& x, double alpha, int num_threads) {
   return SscLambdaFromGram(Gram(x, num_threads), alpha, num_threads);
@@ -84,7 +203,7 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   }
   FEDSC_TRACE_SPAN("sc/ssc_admm", {{"points", num_points}, {"dim", n}});
 
-  const Matrix gram = Gram(x, options.num_threads);  // X^T X, via Syrk
+  Matrix gram = Gram(x, options.num_threads);  // X^T X, via Syrk
   RecordGramFlops(num_points, n);
   const double mu = MutualCoherenceFloor(gram, options.num_threads);
   if (mu <= 0.0) {
@@ -93,78 +212,86 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   }
   const double lambda = options.alpha / mu;
   const double rho = options.rho > 0.0 ? options.rho : options.alpha;
+  const double kappa = lambda / rho;
 
-  // Precompute the Z-update operator. Z-update solves
-  //   (lambda X^T X + rho I) Z = lambda X^T X + rho (C - U).
-  // Small-N path: invert the N x N system directly. Large-N path (n < N):
-  // Woodbury,
-  //   (lambda G + rho I)^{-1} M
-  //     = (1/rho) (M - lambda X^T (rho I_n + lambda X X^T)^{-1} X M).
-  const bool use_woodbury = n < num_points;
-  Matrix h_inverse;       // (lambda G + rho I)^{-1}, direct path
-  Matrix s_inverse;       // (rho I_n + lambda X X^T)^{-1}, Woodbury path
+  // The Z-update solves H Z = lambda G + rho (C - U) with H = lambda G +
+  // rho I. Its constant part is hoisted: P = H^{-1} lambda G = I - rho H^{-1},
+  // so each iteration only applies rho H^{-1} to V = C - U. Two
+  // formulations of that product, picked by their per-iteration flops:
+  //   direct:   rho H^{-1} = (I + kappa G)^{-1}, kept as an N x N matrix —
+  //             one GEMM, 2 N^3;
+  //   Woodbury: rho H^{-1} V = V - X^T (K V), K = kappa (I_n + kappa X X^T)^{-1}
+  //             X, so P = X^T K — two GEMMs, 4 n N^2.
+  // Woodbury wins exactly when 2n < N.
+  const bool use_woodbury = SscAdmmUsesWoodbury(n, num_points);
+  Matrix op;  // direct: (I + kappa G)^{-1}; Woodbury: K (n x N)
+  Matrix kv;  // Woodbury workspace: K V
+  Matrix p;
   if (use_woodbury) {
+    gram = Matrix();  // only mu needed it; frees N^2 doubles
     Matrix s = OuterGram(x, options.num_threads);  // X X^T, via Syrk
     RecordGramFlops(n, num_points);
-    s *= lambda;
-    for (int64_t i = 0; i < n; ++i) s(i, i) += rho;
-    FEDSC_ASSIGN_OR_RETURN(s_inverse, SpdInverse(s));
+    s *= kappa;
+    for (int64_t i = 0; i < n; ++i) s(i, i) += 1.0;
+    FEDSC_ASSIGN_OR_RETURN(const Matrix s_inverse, SpdInverse(s));
+    op = Matrix(n, num_points);
+    Gemm(Trans::kNo, Trans::kNo, kappa, s_inverse, x, 0.0, &op,
+         options.num_threads);
+    kv = Matrix(n, num_points);
+    p = MatMulTN(x, op, options.num_threads);
   } else {
-    Matrix h = gram;
-    h *= lambda;
-    for (int64_t i = 0; i < num_points; ++i) h(i, i) += rho;
-    FEDSC_ASSIGN_OR_RETURN(h_inverse, SpdInverse(h));
+    gram *= kappa;
+    for (int64_t i = 0; i < num_points; ++i) gram(i, i) += 1.0;
+    FEDSC_ASSIGN_OR_RETURN(op, SpdInverse(gram));
+    gram = Matrix();
+    p = op;
+    p *= -1.0;
+    for (int64_t i = 0; i < num_points; ++i) p(i, i) += 1.0;
   }
-
-  Matrix c(num_points, num_points);
-  Matrix u(num_points, num_points);
-  Matrix z(num_points, num_points);
-  Matrix rhs(num_points, num_points);
-  Matrix xm;  // scratch for the Woodbury path
-  Matrix sxm;
-  if (use_woodbury) {
-    xm = Matrix(n, num_points);
-    sxm = Matrix(n, num_points);
-  }
-
-  // Applies (lambda G + rho I)^{-1} to `rhs`, writing into `z`.
-  auto apply_inverse = [&](const Matrix& m, Matrix* out) {
+  AdmmState state(std::move(p));
+  // rho H^{-1} M = r + v_coef * M, with r what apply_operator writes.
+  const double v_coef = use_woodbury ? 1.0 : 0.0;
+  auto apply_operator = [&](const Matrix& m, Matrix* r) {
     if (use_woodbury) {
-      if (xm.cols() != m.cols()) {
-        xm = Matrix(n, m.cols());
-        sxm = Matrix(n, m.cols());
-      }
-      // (1/rho) (m - lambda X^T S^{-1} X m)
-      Gemm(Trans::kNo, Trans::kNo, 1.0, x, m, 0.0, &xm, options.num_threads);
-      Gemm(Trans::kNo, Trans::kNo, 1.0, s_inverse, xm, 0.0, &sxm,
+      if (kv.cols() != m.cols()) kv = Matrix(n, m.cols());
+      Gemm(Trans::kNo, Trans::kNo, 1.0, op, m, 0.0, &kv, options.num_threads);
+      Gemm(Trans::kTrans, Trans::kNo, -1.0, x, kv, 0.0, r,
            options.num_threads);
-      *out = m;
-      Gemm(Trans::kTrans, Trans::kNo, -lambda, x, sxm, 1.0, out,
-           options.num_threads);
-      *out *= 1.0 / rho;
     } else {
-      Gemm(Trans::kNo, Trans::kNo, 1.0, h_inverse, m, 0.0, out,
-           options.num_threads);
+      Gemm(Trans::kNo, Trans::kNo, 1.0, op, m, 0.0, r, options.num_threads);
     }
   };
 
-  // Affine mode: Sherman-Morrison data for (lambda G + rho I + rho 1 1^T),
-  // plus the scaled dual of the 1^T Z = 1^T constraint.
-  Vector h_ones;          // H * 1
-  double affine_scale = 0.0;  // rho / (1 + rho * 1^T H 1)
-  Vector u_affine;        // scaled dual, length N
+  // Affine mode: the rho 1 1^T penalty enters through Sherman-Morrison on
+  // top of rho H^{-1}; its constant part rho 1 1^T joins P.
+  AffineTerms affine;
   if (options.affine) {
     Matrix ones(num_points, 1);
     ones.Fill(1.0);
     Matrix h1(num_points, 1);
-    apply_inverse(ones, &h1);
-    h_ones = h1.Col(0);
+    apply_operator(ones, &h1);
+    affine.h_ones = h1.Col(0);
     double dot_1h1 = 0.0;
-    for (double v : h_ones) dot_1h1 += v;
-    affine_scale = rho / (1.0 + rho * dot_1h1);
-    u_affine.assign(static_cast<size_t>(num_points), 0.0);
+    for (double& v : affine.h_ones) {
+      v += v_coef;
+      dot_1h1 += v;
+    }
+    affine.scale = 1.0 / (1.0 + dot_1h1);
+    for (int64_t j = 0; j < num_points; ++j) {
+      Axpy(affine.scale * affine.h_ones[static_cast<size_t>(j)],
+           affine.h_ones.data(), state.p.ColData(j), num_points);
+    }
+    affine.dual.assign(static_cast<size_t>(num_points), 0.0);
   }
 
+  // Stopping-rule maxima reduce per column chunk on the worker's stack, are
+  // stored once per chunk, then combine in chunk order — max is exact in any
+  // order, so the residual is bit-identical across thread counts.
+  const double threshold = 1.0 / rho;
+  const int chunks =
+      std::max(1, ParallelChunkCount(0, num_points, options.num_threads));
+  std::vector<PassMaxima> chunk_maxima(static_cast<size_t>(chunks));
+  auto diagonal = [](int64_t j) { return j; };
   Stopwatch deadline_timer;
   double residual = std::numeric_limits<double>::infinity();
   int iteration = 0;
@@ -175,74 +302,18 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
                                       std::to_string(options.deadline_seconds) +
                                       "s");
     }
-    // rhs = lambda G + rho (C - U) [+ rho 1 (1 - u_affine)^T in affine mode]
-    rhs = c;
-    rhs -= u;
-    rhs *= rho;
-    Axpy(lambda, gram.data(), rhs.data(), gram.size());
-    if (options.affine) {
-      for (int64_t j = 0; j < num_points; ++j) {
-        const double w = rho * (1.0 - u_affine[static_cast<size_t>(j)]);
-        double* col = rhs.ColData(j);
-        for (int64_t i = 0; i < num_points; ++i) col[i] += w;
-      }
-    }
-
-    apply_inverse(rhs, &z);
-    if (options.affine) {
-      // Sherman-Morrison correction for the rho 1 1^T term:
-      // Z -= (H 1) * affine_scale * (1^T Z).
-      for (int64_t j = 0; j < num_points; ++j) {
-        double* col = z.ColData(j);
-        double colsum = 0.0;
-        for (int64_t i = 0; i < num_points; ++i) colsum += col[i];
-        Axpy(-affine_scale * colsum, h_ones.data(), col, num_points);
-      }
-      // Dual update for 1^T Z = 1^T.
-      for (int64_t j = 0; j < num_points; ++j) {
-        double colsum = 0.0;
-        const double* col = z.ColData(j);
-        for (int64_t i = 0; i < num_points; ++i) colsum += col[i];
-        u_affine[static_cast<size_t>(j)] += colsum - 1.0;
-      }
-    }
-
-    // C-update: soft-threshold Z + U at 1/rho, zero the diagonal. Track the
-    // largest change for the stopping rule. Column panels are disjoint, and
-    // the stopping-rule maxima reduce per chunk then combine — max is exact
-    // in any order, so the residual is bit-identical across thread counts.
-    const double threshold = 1.0 / rho;
-    const int chunks = std::max(
-        1, ParallelChunkCount(0, num_points, options.num_threads));
-    std::vector<double> chunk_dc(static_cast<size_t>(chunks), 0.0);
-    std::vector<double> chunk_zc(static_cast<size_t>(chunks), 0.0);
-    ParallelForRanges(
-        0, num_points, options.num_threads,
-        [&](int64_t j0, int64_t j1, int chunk) {
-          double max_dc = 0.0;
-          double max_zc = 0.0;
-          for (int64_t j = j0; j < j1; ++j) {
-            double* cj = c.ColData(j);
-            const double* zj = z.ColData(j);
-            double* uj = u.ColData(j);
-            for (int64_t i = 0; i < num_points; ++i) {
-              const double next =
-                  i == j ? 0.0 : SoftThreshold(zj[i] + uj[i], threshold);
-              max_dc = std::max(max_dc, std::fabs(next - cj[i]));
-              cj[i] = next;
-              const double gap = zj[i] - next;
-              max_zc = std::max(max_zc, std::fabs(gap));
-              uj[i] += gap;  // dual update folded into the same pass
-            }
-          }
-          chunk_dc[static_cast<size_t>(chunk)] = max_dc;
-          chunk_zc[static_cast<size_t>(chunk)] = max_zc;
-        });
-
+    apply_operator(state.v, &state.r);
+    ParallelForRanges(0, num_points, options.num_threads,
+                      [&](int64_t j0, int64_t j1, int chunk) {
+                        PassMaxima maxima;
+                        FusedUpdate(j0, j1, threshold, v_coef,
+                                    options.affine ? &affine : nullptr,
+                                    diagonal, &state, &maxima);
+                        chunk_maxima[static_cast<size_t>(chunk)] = maxima;
+                      });
     residual = 0.0;
-    for (int t = 0; t < chunks; ++t) {
-      residual = std::max(residual, chunk_dc[static_cast<size_t>(t)]);
-      residual = std::max(residual, chunk_zc[static_cast<size_t>(t)]);
+    for (const PassMaxima& m : chunk_maxima) {
+      residual = std::max(residual, m.Residual());
     }
     if (residual < options.tol) break;
   }
@@ -266,7 +337,7 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   FEDSC_METRIC_GAUGE("sc.ssc_admm.last_residual", MetricKind::kExecution)
       .Set(residual);
 
-  return SparsifyCoefficients(c, options.top_k, options.drop_tol,
+  return SparsifyCoefficients(state.c, options.top_k, options.drop_tol,
                               options.num_threads);
 }
 
@@ -353,12 +424,18 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
   const double lambda = options.alpha / mu;
   const double rho = options.rho > 0.0 ? options.rho : options.alpha;
 
-  // Shared d x d Z-update operator: (lambda B^T B + rho I)^{-1}.
+  // Shared d x d Z-update operator H = lambda B^T B + rho I, applied as
+  // rho H^{-1} = (I + kappa B^T B)^{-1}. Each block's constant term
+  // P = H^{-1} lambda B^T X_blk = L X_blk comes from L = kappa rho H^{-1} B^T,
+  // formed once.
+  const double kappa = lambda / rho;
   Matrix h = Gram(b, options.num_threads);
   RecordGramFlops(num_atoms, n);
-  h *= lambda;
-  for (int64_t a = 0; a < num_atoms; ++a) h(a, a) += rho;
-  FEDSC_ASSIGN_OR_RETURN(const Matrix h_inverse, SpdInverse(h));
+  h *= kappa;
+  for (int64_t a = 0; a < num_atoms; ++a) h(a, a) += 1.0;
+  FEDSC_ASSIGN_OR_RETURN(const Matrix op, SpdInverse(h));
+  Matrix l(num_atoms, n);
+  Gemm(Trans::kNo, Trans::kTrans, kappa, op, b, 0.0, &l, options.num_threads);
 
   const int64_t num_blocks =
       (num_points + kSketchBlockCols - 1) / kSketchBlockCols;
@@ -385,44 +462,20 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
       const int64_t j0 = blk * kSketchBlockCols;
       const int64_t j1 = std::min(num_points, j0 + kSketchBlockCols);
       const int64_t nb = j1 - j0;
-      const Matrix xb = x.ColRange(j0, j1);
-      Matrix g(num_atoms, nb);  // lambda B^T X_blk, reused every iteration
-      Gemm(Trans::kTrans, Trans::kNo, lambda, b, xb, 0.0, &g);
+      AdmmState state(MatMul(l, x.ColRange(j0, j1)));
+      auto self_atom_of = [&](int64_t jj) {
+        return self_atom[static_cast<size_t>(j0 + jj)];
+      };
 
-      Matrix c(num_atoms, nb);
-      Matrix u(num_atoms, nb);
-      Matrix z(num_atoms, nb);
-      Matrix rhs(num_atoms, nb);
       const double threshold = 1.0 / rho;
       double residual = std::numeric_limits<double>::infinity();
       int iteration = 0;
       for (; iteration < options.max_iterations; ++iteration) {
-        rhs = c;
-        rhs -= u;
-        rhs *= rho;
-        Axpy(1.0, g.data(), rhs.data(), g.size());
-        Gemm(Trans::kNo, Trans::kNo, 1.0, h_inverse, rhs, 0.0, &z);
-
-        double max_dc = 0.0;
-        double max_zc = 0.0;
-        for (int64_t jj = 0; jj < nb; ++jj) {
-          const int64_t forbidden =
-              self_atom[static_cast<size_t>(j0 + jj)];
-          double* cj = c.ColData(jj);
-          const double* zj = z.ColData(jj);
-          double* uj = u.ColData(jj);
-          for (int64_t a = 0; a < num_atoms; ++a) {
-            const double next =
-                a == forbidden ? 0.0
-                               : SoftThreshold(zj[a] + uj[a], threshold);
-            max_dc = std::max(max_dc, std::fabs(next - cj[a]));
-            cj[a] = next;
-            const double gap = zj[a] - next;
-            max_zc = std::max(max_zc, std::fabs(gap));
-            uj[a] += gap;
-          }
-        }
-        residual = std::max(max_dc, max_zc);
+        Gemm(Trans::kNo, Trans::kNo, 1.0, op, state.v, 0.0, &state.r);
+        PassMaxima maxima;
+        FusedUpdate(0, nb, threshold, 0.0, nullptr, self_atom_of, &state,
+                    &maxima);
+        residual = maxima.Residual();
         if (residual < options.tol) break;
       }
       const bool converged = residual < options.tol;
@@ -435,7 +488,7 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
       // as SparsifyCoefficients, over the d atoms).
       for (int64_t jj = 0; jj < nb; ++jj) {
         const int64_t j = j0 + jj;
-        const double* col = c.ColData(jj);
+        const double* col = state.c.ColData(jj);
         double max_abs = 0.0;
         for (int64_t a = 0; a < num_atoms; ++a) {
           max_abs = std::max(max_abs, std::fabs(col[a]));

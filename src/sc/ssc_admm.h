@@ -6,10 +6,12 @@
 //   min_C  ||C||_1 + lambda/2 ||X - X C||_F^2   s.t.  diag(C) = 0
 //
 // with lambda = alpha / mu, mu = min_i max_{j != i} |x_j^T x_i| (Proposition
-// 1 of Elhamifar-Vidal; the paper uses alpha = 50). The linear system of the
-// Z-update is inverted once through whichever of the N x N and n x n
-// (Woodbury) formulations is smaller, so the per-iteration cost is
-// O(min(n, N) * N^2).
+// 1 of Elhamifar-Vidal; the paper uses alpha = 50). The Z-update's constant
+// part P = H^{-1} lambda X^T X, H = lambda X^T X + rho I, is formed once, so
+// an iteration is Z = P + rho H^{-1} (C - U) plus one fused pass over C and
+// U. rho H^{-1} is applied either as an N x N matrix (one GEMM, 2 N^3 flops)
+// or through the Woodbury identity (two GEMMs, 4 n N^2), whichever costs
+// fewer flops: Woodbury exactly when 2n < N.
 
 #ifndef FEDSC_SC_SSC_ADMM_H_
 #define FEDSC_SC_SSC_ADMM_H_
@@ -71,7 +73,9 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
 //   min_C ||C||_1 + lambda/2 ||X - B C||_F^2,   C in R^{d x N},
 //
 // so the Z-update inverts one d x d operator shared by every column and the
-// per-iteration cost is O(d^2 N) instead of O(N^2 min(n, N)). The Lasso
+// per-iteration cost is 2 d^2 N flops instead of min(2 N^3, 4 n N^2). Each
+// column block's constant term is formed once and its iterations run the
+// same update as SscSelfExpression. The Lasso
 // separates per column, so columns are processed in fixed-size blocks (a
 // pure function of N, never of the thread count) with block-local stopping;
 // results are bit-identical for every thread count. For landmark sketches a
@@ -81,6 +85,11 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
 Result<SparseMatrix> SscSketchedSelfExpression(
     const Matrix& x, const SketchResult& sketch,
     const SscAdmmOptions& options = {}, SscAdmmInfo* info = nullptr);
+
+// Whether SscSelfExpression applies its Z-update operator through the
+// Woodbury form (two GEMMs, 4 n N^2 flops per iteration) rather than the
+// direct N x N inverse (one GEMM, 2 N^3): true exactly when 2n < N.
+bool SscAdmmUsesWoodbury(int64_t dim, int64_t num_points);
 
 // The lambda the solver would use for `x` (exposed for tests/diagnostics).
 // Builds the Gram with `num_threads` workers via the Syrk hot path.

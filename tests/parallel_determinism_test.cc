@@ -18,6 +18,8 @@
 #include "linalg/eig.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
+#include "sc/sketch.h"
+#include "sc/ssc_admm.h"
 #include "sc/ssc_omp.h"
 
 namespace fedsc {
@@ -323,6 +325,88 @@ TEST(SscOmpDeterminismTest, CoefficientMatrixMatchesSerialExactly) {
     ASSERT_EQ(serial->row_ptr(), threaded->row_ptr()) << threads;
     ASSERT_EQ(serial->col_idx(), threaded->col_idx()) << threads;
     ASSERT_EQ(serial->values(), threaded->values()) << threads;
+  }
+}
+
+Matrix UnitSubspaceData(int64_t dim, int64_t per_subspace, uint64_t seed) {
+  SyntheticOptions synth;
+  synth.ambient_dim = dim;
+  synth.subspace_dim = 3;
+  synth.num_subspaces = 4;
+  synth.points_per_subspace = per_subspace;
+  synth.seed = seed;
+  auto data = GenerateUnionOfSubspaces(synth);
+  EXPECT_TRUE(data.ok());
+  Matrix x = std::move(data).value().points;
+  x.NormalizeColumns();
+  return x;
+}
+
+void ExpectSameCsr(const SparseMatrix& a, const SparseMatrix& b, int threads) {
+  ASSERT_EQ(a.rows(), b.rows()) << threads;
+  ASSERT_EQ(a.cols(), b.cols()) << threads;
+  ASSERT_EQ(a.row_ptr(), b.row_ptr()) << threads;
+  ASSERT_EQ(a.col_idx(), b.col_idx()) << threads;
+  ASSERT_EQ(a.values(), b.values()) << threads;
+}
+
+// Every SSC-ADMM formulation: direct (2n >= N), Woodbury (2n < N), and the
+// affine mode on each. GEMMs and the fused column pass are partitioned by
+// output column, so C must not move by a bit with the thread count.
+TEST(SscAdmmDeterminismTest, CoefficientMatrixMatchesSerialExactly) {
+  struct Case {
+    int64_t dim;
+    int64_t per_subspace;
+    bool affine;
+  };
+  const Case cases[] = {
+      {40, 15, false},  // direct: N = 60
+      {12, 30, false},  // Woodbury: N = 120
+      {40, 15, true},
+      {12, 30, true},
+  };
+  for (const Case& test_case : cases) {
+    const Matrix x = UnitSubspaceData(test_case.dim, test_case.per_subspace,
+                                      31 + static_cast<uint64_t>(test_case.dim));
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << x.rows() << " N=" << x.cols()
+                 << (SscAdmmUsesWoodbury(x.rows(), x.cols()) ? " woodbury"
+                                                             : " direct")
+                 << (test_case.affine ? " affine" : ""));
+    SscAdmmOptions options;
+    options.affine = test_case.affine;
+    options.max_iterations = 60;
+    options.num_threads = 1;
+    auto serial = SscSelfExpression(x, options);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    for (int threads : kThreadCounts) {
+      options.num_threads = threads;
+      auto threaded = SscSelfExpression(x, options);
+      ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+      ExpectSameCsr(*serial, *threaded, threads);
+    }
+  }
+}
+
+TEST(SscAdmmDeterminismTest, SketchedCoefficientsMatchSerialExactly) {
+  // 600 points: three column blocks of the sketched solver.
+  const Matrix x = UnitSubspaceData(16, 150, 41);
+  SketchOptions sketch_options;
+  sketch_options.dim = 48;
+  sketch_options.seed = 5;
+  auto sketch = SketchDictionary(x, sketch_options);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+
+  SscAdmmOptions options;
+  options.max_iterations = 60;
+  options.num_threads = 1;
+  auto serial = SscSketchedSelfExpression(x, *sketch, options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (int threads : kThreadCounts) {
+    options.num_threads = threads;
+    auto threaded = SscSketchedSelfExpression(x, *sketch, options);
+    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+    ExpectSameCsr(*serial, *threaded, threads);
   }
 }
 

@@ -1,15 +1,21 @@
 #include <algorithm>
 #include <set>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "linalg/blas.h"
+#include "linalg/cholesky.h"
 #include "metrics/clustering_metrics.h"
 #include "sc/affinity.h"
 #include "sc/pipeline.h"
+#include "sc/sketch.h"
+#include "sc/ssc_admm.h"
 
 namespace fedsc {
 namespace {
@@ -339,6 +345,163 @@ TEST(EscTest, Validation) {
   EXPECT_FALSE(EscAffinity(Matrix(3, 5), {.num_exemplars = 0}).ok());
   EXPECT_FALSE(
       EscAffinity(Matrix(3, 5), {.num_exemplars = 2, .q_neighbors = 5}).ok());
+}
+
+// Textbook scaled-form ADMM (Boyd et al. 2011, §3.4) for
+//   min ||C||_1 + lambda/2 ||X - D C||_F^2,   C(pinned[j], j) = 0,
+// computed the long way: a dense inverse of the whole Z-update operator
+// (lambda D^T D + rho I, plus rho 1 1^T in affine mode), and the full
+// right-hand side rebuilt every iteration. pinned[j] < 0 pins nothing.
+Matrix ReferenceAdmm(const Matrix& x, const Matrix& dict,
+                     const std::vector<int64_t>& pinned, double lambda,
+                     double rho, bool affine, int iterations) {
+  const int64_t atoms = dict.cols();
+  const int64_t points = x.cols();
+  Matrix h = MatMulTN(dict, dict);
+  h *= lambda;
+  for (int64_t a = 0; a < atoms; ++a) {
+    h(a, a) += rho;
+    if (affine) {
+      for (int64_t b = 0; b < atoms; ++b) h(a, b) += rho;
+    }
+  }
+  const Matrix h_inverse = SpdInverse(h).value();
+  Matrix target = MatMulTN(dict, x);
+  target *= lambda;
+  Matrix c(atoms, points);
+  Matrix u(atoms, points);
+  Vector dual(static_cast<size_t>(points), 0.0);
+  const double threshold = 1.0 / rho;
+  for (int it = 0; it < iterations; ++it) {
+    Matrix rhs = c;
+    rhs -= u;
+    rhs *= rho;
+    rhs += target;
+    if (affine) {
+      for (int64_t j = 0; j < points; ++j) {
+        for (int64_t a = 0; a < atoms; ++a) {
+          rhs(a, j) += rho * (1.0 - dual[static_cast<size_t>(j)]);
+        }
+      }
+    }
+    const Matrix z = MatMul(h_inverse, rhs);
+    for (int64_t j = 0; j < points; ++j) {
+      double z_sum = 0.0;
+      for (int64_t a = 0; a < atoms; ++a) {
+        const double w = z(a, j) + u(a, j);
+        double next = 0.0;
+        if (a != pinned[static_cast<size_t>(j)]) {
+          if (w > threshold) next = w - threshold;
+          if (w < -threshold) next = w + threshold;
+        }
+        c(a, j) = next;
+        u(a, j) += z(a, j) - next;
+        z_sum += z(a, j);
+      }
+      if (affine) dual[static_cast<size_t>(j)] += z_sum - 1.0;
+    }
+  }
+  return c;
+}
+
+void ExpectMatchesReference(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  const double scale = want.MaxAbs();
+  ASSERT_GT(scale, 0.0);
+  Matrix diff = got;
+  diff -= want;
+  EXPECT_LE(diff.MaxAbs(), 1e-9 * scale);
+}
+
+Matrix UnitSubspaces(int64_t dim, int64_t num_subspaces, int64_t per,
+                     uint64_t seed) {
+  SyntheticOptions options;
+  options.ambient_dim = dim;
+  options.subspace_dim = 3;
+  options.num_subspaces = num_subspaces;
+  options.points_per_subspace = per;
+  options.seed = seed;
+  Matrix x = GenerateUnionOfSubspaces(options).value().points;
+  x.NormalizeColumns();
+  return x;
+}
+
+constexpr int kReferenceIterations = 25;
+
+// Runs SscSelfExpression for a fixed number of iterations (tol = 0 never
+// stops early; drop_tol = 0 keeps every nonzero) against ReferenceAdmm.
+void ExpectSscMatchesReference(const Matrix& x, bool affine,
+                               bool expect_woodbury) {
+  ASSERT_EQ(SscAdmmUsesWoodbury(x.rows(), x.cols()), expect_woodbury);
+  SscAdmmOptions options;
+  options.affine = affine;
+  options.max_iterations = kReferenceIterations;
+  options.tol = 0.0;
+  options.drop_tol = 0.0;
+  auto c = SscSelfExpression(x, options);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  std::vector<int64_t> diagonal(static_cast<size_t>(x.cols()));
+  std::iota(diagonal.begin(), diagonal.end(), 0);
+  const Matrix want =
+      ReferenceAdmm(x, x, diagonal, SscLambda(x, options.alpha),
+                    options.alpha, affine, kReferenceIterations);
+  ExpectMatchesReference(c->ToDense(), want);
+}
+
+TEST(SscAdmmReferenceTest, DirectFormulationMatchesTextbookAdmm) {
+  ExpectSscMatchesReference(UnitSubspaces(64, 4, 20, 101), false, false);
+}
+
+TEST(SscAdmmReferenceTest, WoodburyFormulationMatchesTextbookAdmm) {
+  ExpectSscMatchesReference(UnitSubspaces(16, 5, 32, 102), false, true);
+}
+
+TEST(SscAdmmReferenceTest, AffineModeMatchesTextbookAdmmOnBothFormulations) {
+  const Matrix x = AffineSubspaces(103).points;  // 12 x 75
+  ExpectSscMatchesReference(x, true, true);
+  ExpectSscMatchesReference(x.ColRange(0, 20), true, false);
+}
+
+TEST(SscAdmmReferenceTest, SketchedSolverMatchesTextbookAdmm) {
+  // 300 points span two column blocks of the sketched solver.
+  const Matrix x = UnitSubspaces(16, 5, 60, 104);
+  SketchOptions sketch_options;
+  sketch_options.dim = 40;
+  sketch_options.seed = 7;
+  auto sketch = SketchDictionary(x, sketch_options);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  const Matrix& b = sketch->dictionary;
+
+  SscAdmmOptions options;
+  options.max_iterations = kReferenceIterations;
+  options.tol = 0.0;
+  options.drop_tol = 0.0;
+  auto c = SscSketchedSelfExpression(x, *sketch, options);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+
+  // Each landmark column's own atom is pinned; lambda = alpha / mu with
+  // mu = min_j max_a |b_a^T x_j| over the unpinned atoms.
+  std::vector<int64_t> pinned(static_cast<size_t>(x.cols()), -1);
+  for (size_t a = 0; a < sketch->landmarks.size(); ++a) {
+    pinned[static_cast<size_t>(sketch->landmarks[a])] =
+        static_cast<int64_t>(a);
+  }
+  const Matrix scores = MatMulTN(b, x);
+  double mu = std::numeric_limits<double>::infinity();
+  for (int64_t j = 0; j < x.cols(); ++j) {
+    double max_abs = 0.0;
+    for (int64_t a = 0; a < b.cols(); ++a) {
+      if (a != pinned[static_cast<size_t>(j)]) {
+        max_abs = std::max(max_abs, std::fabs(scores(a, j)));
+      }
+    }
+    mu = std::min(mu, max_abs);
+  }
+  const Matrix want = ReferenceAdmm(x, b, pinned, options.alpha / mu,
+                                    options.alpha, false,
+                                    kReferenceIterations);
+  ExpectMatchesReference(c->ToDense(), want);
 }
 
 TEST(SscAdmmInfoTest, ConvergedSolveReportsIterationsBelowBudget) {
