@@ -17,7 +17,7 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_determinism_test fedsc_test \
-  faults_test defense_test trace_test journal_test logging_test blas_test \
+  server_test faults_test defense_test trace_test journal_test logging_test blas_test \
   qr_cholesky_test svd_eig_test sketch_test
 
 # halt_on_error makes the first race fail the run instead of just logging.
@@ -26,6 +26,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${build_dir}/tests/thread_pool_test"
 "${build_dir}/tests/parallel_determinism_test"
 "${build_dir}/tests/fedsc_test"
+# The client/server API runs the same aggregator with the defense on at
+# num_threads 1 and 2: screening and the central solve fan out while the
+# server's state is single-owner.
+"${build_dir}/tests/server_test"
 # The fault plan is consumed from serial protocol code while Phase 1/2
 # kernels fan out over worker threads; TSAN proves the combination is clean.
 "${build_dir}/tests/faults_test"

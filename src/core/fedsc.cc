@@ -11,6 +11,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/aggregator.h"
 #include "core/report.h"
 #include "graph/eigengap.h"
 #include "linalg/batch.h"
@@ -105,31 +106,6 @@ std::vector<Result<Matrix>> EstimateClusterBases(
   return bases;
 }
 
-Status ValidateOptions(const FedScOptions& options) {
-  if (options.central_method != ScMethod::kSsc &&
-      options.central_method != ScMethod::kTsc) {
-    return Status::InvalidArgument(
-        "Fed-SC's server runs SSC or TSC (Section IV-D)");
-  }
-  if (options.samples_per_cluster < 1) {
-    return Status::InvalidArgument("samples_per_cluster must be >= 1");
-  }
-  if (!options.use_eigengap && options.max_local_clusters < 1) {
-    return Status::InvalidArgument(
-        "fixed-r mode needs max_local_clusters >= 1");
-  }
-  FEDSC_RETURN_NOT_OK(ValidateChannelOptions(options.channel));
-  FEDSC_RETURN_NOT_OK(ValidateRetryOptions(options.retry));
-  FEDSC_RETURN_NOT_OK(ValidateFaultPlanOptions(options.faults));
-  FEDSC_RETURN_NOT_OK(ValidateUploadValidationOptions(options.validation));
-  FEDSC_RETURN_NOT_OK(ValidateDefenseOptions(options.defense));
-  if (!(options.quorum >= 0.0 && options.quorum <= 1.0)) {
-    return Status::InvalidArgument("quorum must lie in [0, 1], got " +
-                                   std::to_string(options.quorum));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 const char* DeviceOutcomeName(DeviceOutcome outcome) {
@@ -151,7 +127,7 @@ const char* DeviceOutcomeName(DeviceOutcome outcome) {
 Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
                                                     const FedScOptions& options,
                                                     uint64_t seed) {
-  FEDSC_RETURN_NOT_OK(ValidateOptions(options));
+  FEDSC_RETURN_NOT_OK(ValidateFedScOptions(options));
   Rng rng(seed);
   const int64_t n = points.rows();
   const int64_t num_points = points.cols();
@@ -250,12 +226,10 @@ Result<LocalClusteringOutput> LocalClusterAndSample(const Matrix& points,
 Result<FedScResult> RunFedSc(const FederatedDataset& data,
                              int64_t num_clusters,
                              const FedScOptions& options) {
-  FEDSC_RETURN_NOT_OK(ValidateOptions(options));
+  CentralAggregator aggregator(num_clusters, options, data.ambient_dim);
+  FEDSC_RETURN_NOT_OK(aggregator.options_status());
   const int64_t num_devices = data.num_devices();
   if (num_devices == 0) return Status::InvalidArgument("no devices");
-  if (num_clusters < 1) {
-    return Status::InvalidArgument("need num_clusters >= 1");
-  }
 
   FEDSC_TRACE_SPAN("fedsc/run",
                    {{"devices", num_devices}, {"clusters", num_clusters}});
@@ -317,13 +291,7 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
   // quarantines corrupt sample columns instead of crashing. Everything here
   // is serial protocol code, so metrics, schedules, and journal events are
   // deterministic for any num_threads.
-  std::vector<Matrix> received(static_cast<size_t>(num_devices));
-  // For participating devices: the original upload column index of every
-  // accepted (post-quarantine) column, in accepted order.
-  std::vector<std::vector<int64_t>> kept_samples(
-      static_cast<size_t>(num_devices));
   result.device_reports.resize(static_cast<size_t>(num_devices));
-  int64_t total_samples = 0;
   int64_t rounds_used = 1;
   int64_t sim_uplink_ms = 0;
   {
@@ -361,124 +329,68 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
       report.attempts = outcome.attempts;
       rounds_used = std::max<int64_t>(rounds_used, outcome.attempts);
       sim_uplink_ms = std::max(sim_uplink_ms, outcome.elapsed_ms);
-      // A rejected Byzantine device is worth its own journal event: its
-      // payload was adversarial-yet-well-formed, so only a *co-scheduled*
-      // fault (or validation bound) can stop it.
-      const auto journal_rejection = [&](const char* type,
-                                         const std::string& reason) {
-        if (!JournalEnabled()) return;
-        JournalRecord(type, z, outcome.elapsed_ms,
-                      {{"attempts", report.attempts}, {"reason", reason}});
-        if (plan.ScheduleFor(z).payload == PayloadFault::kByzantine) {
-          JournalRecord("byzantine_rejected", z, outcome.elapsed_ms,
-                        {{"attempts", report.attempts}});
-        }
-      };
-      if (!outcome.delivered) {
-        // A wire-corrupt upload *arrived* — the bytes just failed
-        // validation — so it is quarantined like any other unusable upload;
-        // devices that never delivered are dropped.
-        const bool corrupt =
-            outcome.status.code() == StatusCode::kWireCorrupt;
-        report.outcome = corrupt ? DeviceOutcome::kQuarantined
-                                 : DeviceOutcome::kDropped;
-        report.status = outcome.status;
-        if (corrupt) {
-          FEDSC_METRIC_COUNTER("fed.quarantine.devices").Increment();
-        } else {
-          FEDSC_METRIC_COUNTER("fed.faults.dropped_devices").Increment();
-        }
-        journal_rejection(corrupt ? "quarantined" : "dropped",
-                          outcome.status.ToString());
-        FEDSC_LOG(Warning) << "device " << z
-                           << " failed to upload: "
-                           << outcome.status.ToString();
-        continue;
-      }
+      // Devices that never delivered are dropped. An upload that arrived
+      // unusable — wire-corrupt bytes, the wrong ambient dimension, or no
+      // valid column — is quarantined whole.
       report.uploaded_samples = outcome.received.cols();
-
-      auto validation = ValidateUpload(outcome.received, data.ambient_dim,
-                                       options.validation);
-      if (!validation.ok()) {
-        // Structurally unusable (e.g. wrong ambient dimension): the whole
-        // upload is quarantined.
-        report.outcome = DeviceOutcome::kQuarantined;
-        report.quarantined_samples = outcome.received.cols();
-        report.status = validation.status();
+      int64_t quarantined = 0;
+      report.status = outcome.delivered
+                          ? aggregator.Accept(z, outcome.received, &quarantined)
+                          : outcome.status;
+      if (!report.status.ok()) {
+        const bool dropped = !outcome.delivered &&
+                             outcome.status.code() != StatusCode::kWireCorrupt;
+        report.outcome =
+            dropped ? DeviceOutcome::kDropped : DeviceOutcome::kQuarantined;
+        report.quarantined_samples = report.uploaded_samples;
         result.quarantined_samples += report.quarantined_samples;
-        FEDSC_METRIC_COUNTER("fed.quarantine.devices").Increment();
-        journal_rejection("quarantined", validation.status().ToString());
-        FEDSC_LOG(Warning) << "device " << z << " upload quarantined: "
-                           << validation.status().ToString();
+        if (dropped) {
+          FEDSC_METRIC_COUNTER("fed.faults.dropped_devices").Increment();
+        } else {
+          FEDSC_METRIC_COUNTER("fed.quarantine.devices").Increment();
+        }
+        if (JournalEnabled()) {
+          JournalRecord(dropped ? "dropped" : "quarantined", z,
+                        outcome.elapsed_ms,
+                        {{"attempts", report.attempts},
+                         {"reason", report.status.ToString()}});
+          // A rejected Byzantine device is worth its own journal event: its
+          // payload was adversarial-yet-well-formed, so only a co-scheduled
+          // fault (or validation bound) can stop it.
+          if (plan.ScheduleFor(z).payload == PayloadFault::kByzantine) {
+            JournalRecord("byzantine_rejected", z, outcome.elapsed_ms,
+                          {{"attempts", report.attempts}});
+          }
+        }
+        FEDSC_LOG(Warning) << "device " << z << " upload failed: "
+                           << report.status.ToString();
         continue;
       }
-      report.quarantined_samples =
-          static_cast<int64_t>(validation->quarantined.size());
-      result.quarantined_samples += report.quarantined_samples;
-      if (validation->accepted.cols() == 0) {
-        report.outcome = DeviceOutcome::kQuarantined;
-        report.status = Status::InvalidArgument(
-            "every sample of device " + std::to_string(z) +
-            " failed validation: " + QuarantinedColumnsSummary(*validation));
-        FEDSC_METRIC_COUNTER("fed.quarantine.devices").Increment();
-        journal_rejection("quarantined", report.status.ToString());
-        continue;
-      }
-      received[static_cast<size_t>(z)] = std::move(validation->accepted);
-      kept_samples[static_cast<size_t>(z)] = std::move(validation->kept);
-      total_samples += received[static_cast<size_t>(z)].cols();
+      report.quarantined_samples = quarantined;
+      result.quarantined_samples += quarantined;
       result.participating_devices += 1;
       FEDSC_JOURNAL_EVENT(
           "accepted", z, outcome.elapsed_ms,
           {{"attempts", report.attempts},
            {"uploaded_samples", report.uploaded_samples},
-           {"accepted_samples", received[static_cast<size_t>(z)].cols()},
+           {"accepted_samples", aggregator.accepted_samples(z)},
            {"quarantined_samples", report.quarantined_samples}});
     }
   }
-  // Byzantine defense: screen the accepted uploads before pooling. Screened
-  // devices degrade exactly like quarantined ones — they count against the
-  // quorum and their points get the sentinel label.
-  if (options.defense.enabled && total_samples > 0) {
-    FEDSC_TRACE_SPAN("fedsc/defense/screen", {{"samples", total_samples}});
-    Matrix pool(data.ambient_dim, total_samples);
-    std::vector<int64_t> pool_device;
-    pool_device.reserve(static_cast<size_t>(total_samples));
-    int64_t col = 0;
-    for (int64_t z = 0; z < num_devices; ++z) {
-      const Matrix& m = received[static_cast<size_t>(z)];
-      for (int64_t c = 0; c < m.cols(); ++c) {
-        pool.SetCol(col++, m.ColData(c));
-        pool_device.push_back(z);
-      }
-    }
-    FEDSC_ASSIGN_OR_RETURN(DefensePlan defense,
-                           DefensePlan::Create(options.defense));
-    const ScreeningOutcome screening =
-        defense.Screen(pool, pool_device, options.num_threads);
-    for (const DeviceScreenVerdict& verdict : screening.verdicts) {
-      if (!verdict.screened) continue;
-      const int64_t z = verdict.device;
-      DeviceReport& report = result.device_reports[static_cast<size_t>(z)];
-      report.outcome = DeviceOutcome::kScreened;
-      report.screen_statistic = verdict.statistic;
-      report.status = Status::InvalidArgument(
-          "device " + std::to_string(z) +
-          " screened by the Byzantine defense: " + verdict.statistic);
-      total_samples -= received[static_cast<size_t>(z)].cols();
-      received[static_cast<size_t>(z)] = Matrix();
-      kept_samples[static_cast<size_t>(z)].clear();
-      result.participating_devices -= 1;
-      result.screened_devices += 1;
-      FEDSC_METRIC_COUNTER("fedsc.screened_devices").Increment();
-      FEDSC_JOURNAL_EVENT("defense_screened", z, sim_uplink_ms,
-                          {{"statistic", verdict.statistic},
-                           {"support", verdict.support},
-                           {"residual", verdict.residual}});
-      FEDSC_LOG(Warning) << "device " << z
-                         << " screened by the Byzantine defense: "
-                         << verdict.statistic;
-    }
+  // Byzantine defense: screened devices degrade exactly like quarantined
+  // ones — they count against the quorum and their points get the sentinel.
+  FEDSC_ASSIGN_OR_RETURN(const std::vector<DeviceScreenVerdict> screened,
+                         aggregator.Screen(sim_uplink_ms));
+  for (const DeviceScreenVerdict& verdict : screened) {
+    DeviceReport& report =
+        result.device_reports[static_cast<size_t>(verdict.device)];
+    report.outcome = DeviceOutcome::kScreened;
+    report.screen_statistic = verdict.statistic;
+    report.status = Status::InvalidArgument(
+        "device " + std::to_string(verdict.device) +
+        " screened by the Byzantine defense: " + verdict.statistic);
+    result.participating_devices -= 1;
+    result.screened_devices += 1;
   }
   for (const DeviceReport& report : result.device_reports) {
     if (report.outcome != DeviceOutcome::kOk) {
@@ -517,88 +429,13 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
                       {{"participating", result.participating_devices},
                        {"devices", num_devices},
                        {"quorum", options.quorum}});
-  result.total_samples = total_samples;
-  FEDSC_METRIC_COUNTER("fedsc.total_samples").Add(total_samples);
-  if (total_samples < num_clusters) {
-    return Status::FailedPrecondition(
-        "server received fewer samples than clusters (" +
-        std::to_string(total_samples) + " < " +
-        std::to_string(num_clusters) + ")");
-  }
-
-  // Pool the accepted samples.
-  result.samples = Matrix(data.ambient_dim, total_samples);
-  result.sample_device.reserve(static_cast<size_t>(total_samples));
-  std::vector<int64_t> device_sample_offset(
-      static_cast<size_t>(num_devices), 0);
-  int64_t next = 0;
-  for (int64_t z = 0; z < num_devices; ++z) {
-    device_sample_offset[static_cast<size_t>(z)] = next;
-    const Matrix& m = received[static_cast<size_t>(z)];
-    for (int64_t c = 0; c < m.cols(); ++c) {
-      result.samples.SetCol(next++, m.ColData(c));
-      result.sample_device.push_back(z);
-    }
-  }
+  result.total_samples = aggregator.unscreened_samples();
+  FEDSC_METRIC_COUNTER("fedsc.total_samples").Add(result.total_samples);
 
   // Phase 2: central clustering of the pooled samples.
   Stopwatch central_timer;
-  {
-    FEDSC_TRACE_SPAN("fedsc/phase2/central", {{"samples", total_samples}});
-    ScPipelineOptions central;
-    central.method = options.central_method;
-    central.central = options.central;
-    central.sketch = options.central_sketch;
-    // The sketch stream hangs off the run seed alone (never the device RNG),
-    // so the dictionary is a pure function of (seed, pooled shape).
-    central.sketch.seed = MixSeeds(options.seed, 0x5ce7c4ULL);
-    const CentralPath central_path =
-        ResolveCentralPath(central, total_samples, num_clusters);
-    FEDSC_JOURNAL_EVENT(
-        "central_start", -1, sim_uplink_ms,
-        {{"samples", total_samples},
-         {"method",
-          options.central_method == ScMethod::kSsc ? "ssc" : "tsc"},
-         {"central_path", CentralPathName(central_path)}});
-    FEDSC_METRIC_GAUGE("fedsc.central_sketched", MetricKind::kDeterministic)
-        .Set(central_path == CentralPath::kSketched ? 1.0 : 0.0);
-    central.ssc = options.central_ssc;
-    central.tsc = options.central_tsc;
-    if (central.tsc.q <= 0) {
-      // The paper's rule: q = max(3, ceil(Z / L)).
-      central.tsc.q = std::max<int64_t>(
-          3, (num_devices + num_clusters - 1) / num_clusters);
-    }
-    central.tsc.q = std::min<int64_t>(central.tsc.q, total_samples - 1);
-    central.spectral = options.central_spectral;
-    central.spectral.kmeans.seed = rng.Next();
-    if (options.defense.enabled) {
-      // Robust k-engine: trimmed assignment, robust centers, and a
-      // per-device influence cap on the embedding rows (one per pooled
-      // sample, in pooling order).
-      KMeansRobustOptions& robust = central.spectral.kmeans.robust;
-      robust.enabled = true;
-      robust.trim_fraction = options.defense.trim_fraction;
-      robust.center = options.defense.robust_center;
-      robust.max_group_fraction = options.defense.max_device_fraction;
-      robust.point_group = result.sample_device;
-    }
-    // Channel noise can leave samples slightly off the unit sphere;
-    // renormalize like the paper's analysis assumes.
-    central.normalize_columns = true;
-    // Phase 2 runs on the coordinator after every device reported, so the
-    // same worker budget that fanned Phase 1 out across devices now threads
-    // the central affinity kernels (bit-identical for any thread count).
-    central.num_threads = options.num_threads;
-    FEDSC_ASSIGN_OR_RETURN(
-        ScResult central_result,
-        RunSubspaceClustering(result.samples, num_clusters, central));
-    result.sample_labels = std::move(central_result.labels);
-    result.central_affinity = std::move(central_result.affinity);
-  }
+  FEDSC_RETURN_NOT_OK(aggregator.Solve(rng.Next(), num_devices, sim_uplink_ms));
   result.central_seconds = central_timer.ElapsedSeconds();
-  FEDSC_JOURNAL_EVENT("central_finish", -1, sim_uplink_ms,
-                      {{"samples", total_samples}});
 
   // Phase 3: downlink assignments; devices relabel their points. Points on
   // failed devices get the sentinel label — partial participation degrades
@@ -607,54 +444,27 @@ Result<FedScResult> RunFedSc(const FederatedDataset& data,
   FEDSC_JOURNAL_EVENT("broadcast", -1, sim_uplink_ms,
                       {{"devices", result.participating_devices}});
   for (int64_t z = 0; z < num_devices; ++z) {
-    const LocalClusteringOutput& local = locals[static_cast<size_t>(z)];
     auto& labels = result.device_labels[static_cast<size_t>(z)];
     auto& point_sample = result.point_sample[static_cast<size_t>(z)];
-    const size_t num_points =
-        static_cast<size_t>(data.points[static_cast<size_t>(z)].cols());
     if (result.device_reports[static_cast<size_t>(z)].outcome !=
         DeviceOutcome::kOk) {
+      const auto num_points =
+          static_cast<size_t>(data.points[static_cast<size_t>(z)].cols());
       labels.assign(num_points, FedScResult::kFailedDeviceLabel);
       point_sample.assign(num_points, -1);
       continue;
     }
-    const std::vector<int64_t>& kept = kept_samples[static_cast<size_t>(z)];
-    const int64_t offset = device_sample_offset[static_cast<size_t>(z)];
-    channel.Downlink(static_cast<int64_t>(kept.size()), num_clusters);
-    FEDSC_JOURNAL_EVENT("downlink", z, sim_uplink_ms,
-                        {{"values", static_cast<int64_t>(kept.size())}});
-
-    // Map each local cluster to the label of its first *accepted* sample; a
-    // cluster whose samples were all quarantined gets the sentinel.
-    std::vector<int64_t> cluster_label(
-        static_cast<size_t>(std::max<int64_t>(local.num_local_clusters, 1)),
-        FedScResult::kFailedDeviceLabel);
-    std::vector<int64_t> cluster_sample(cluster_label.size(), -1);
-    for (size_t k = 0; k < kept.size(); ++k) {
-      const int64_t original = kept[k];
-      // Faulted payloads may carry columns past the honest upload
-      // (duplication); those have no local cluster to label.
-      if (original < 0 ||
-          original >= static_cast<int64_t>(local.sample_cluster.size())) {
-        continue;
-      }
-      const auto t =
-          static_cast<size_t>(local.sample_cluster[static_cast<size_t>(
-              original)]);
-      if (cluster_sample[t] == -1) {
-        cluster_sample[t] = offset + static_cast<int64_t>(k);
-        cluster_label[t] =
-            result.sample_labels[static_cast<size_t>(offset) + k];
-      }
-    }
-    labels.resize(local.partition.size());
-    point_sample.resize(local.partition.size());
-    for (size_t i = 0; i < local.partition.size(); ++i) {
-      const auto t = static_cast<size_t>(local.partition[i]);
-      labels[i] = cluster_label[t];
-      point_sample[i] = cluster_sample[t];
-    }
+    const int64_t accepted = aggregator.accepted_samples(z);
+    channel.Downlink(accepted, num_clusters);
+    FEDSC_JOURNAL_EVENT("downlink", z, sim_uplink_ms, {{"values", accepted}});
+    labels = aggregator.PointLabels(z, locals[static_cast<size_t>(z)],
+                                    &point_sample);
   }
+  CentralSolve solve = aggregator.TakeSolve();
+  result.samples = std::move(solve.samples);
+  result.sample_device = std::move(solve.sample_device);
+  result.sample_labels = std::move(solve.sample_labels);
+  result.central_affinity = std::move(solve.affinity);
   channel.FinishRounds(rounds_used);
 
   result.global_labels = data.ToGlobalOrder(result.device_labels);

@@ -7,6 +7,16 @@
 // handing every client back the assignments for its samples. Adding a device
 // and re-clustering costs one more central solve — the local phases of the
 // other devices are never repeated.
+//
+// Both APIs run the same server code (core/aggregator.h): option and upload
+// validation, the Byzantine screen, pooling, the central solve and the label
+// scatter. They differ in four inputs only. The server seeds the central
+// k-means with seed ^ 0x5e47e4 (RunFedSc draws from its run RNG), counts its
+// registered uploads as Z in the TSC rule q = max(3, ceil(Z / L)) (RunFedSc
+// counts every scheduled device), takes the ambient dimension from the first
+// accepted upload (RunFedSc from the dataset), and journals registration ids
+// with sim_ms -1. It has no quorum: it knows only the uploads that arrived,
+// not the devices that should have sent one.
 
 #ifndef FEDSC_CORE_SERVER_H_
 #define FEDSC_CORE_SERVER_H_
@@ -14,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/aggregator.h"
 #include "core/fedsc.h"
 
 namespace fedsc {
@@ -66,7 +77,8 @@ class FedScServer {
   // (FedScOptions::validation — non-finite values, norms far off the unit
   // sphere) are quarantined rather than registered; an upload with no valid
   // column (or the wrong ambient dimension) is rejected with a typed
-  // Status.
+  // Status. Options RunFedSc rejects (and num_clusters < 1) make AddUpload
+  // and Cluster return its InvalidArgument.
   Result<int64_t> AddUpload(const Matrix& samples);
 
   // AddUpload over a serialized wire message (fed/wire.h): decodes with the
@@ -75,10 +87,8 @@ class FedScServer {
   // kWireCorrupt status (never a crash or out-of-bounds read).
   Result<int64_t> AddEncodedUpload(const std::vector<uint8_t>& wire);
 
-  int64_t num_devices() const {
-    return static_cast<int64_t>(device_offsets_.size());
-  }
-  int64_t total_samples() const { return total_samples_; }
+  int64_t num_devices() const { return aggregator_.num_devices(); }
+  int64_t total_samples() const { return aggregator_.registered_samples(); }
   // Sample columns rejected by AddUpload validation since construction.
   int64_t quarantined_samples() const { return quarantined_samples_; }
 
@@ -94,24 +104,15 @@ class FedScServer {
 
   // True when the last Cluster() screened device `id` (always false with
   // the defense disabled or before Cluster() ran).
-  bool screened(int64_t id) const {
-    return id >= 0 && id < static_cast<int64_t>(screened_.size()) &&
-           screened_[static_cast<size_t>(id)];
-  }
+  bool screened(int64_t id) const { return aggregator_.screened(id); }
 
   // The full pooled clustering (one label per registered sample).
   const std::vector<int64_t>& sample_labels() const { return sample_labels_; }
 
  private:
-  int64_t num_clusters_;
-  FedScOptions options_;
-  int64_t ambient_dim_ = -1;
-  std::vector<Matrix> uploads_;
-  std::vector<int64_t> device_offsets_;
-  int64_t total_samples_ = 0;
+  CentralAggregator aggregator_;
   int64_t quarantined_samples_ = 0;
   bool clustered_ = false;
-  std::vector<bool> screened_;
   std::vector<int64_t> sample_labels_;
 };
 
