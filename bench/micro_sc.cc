@@ -12,6 +12,7 @@
 #include "fed/partition.h"
 #include "linalg/svd.h"
 #include "sc/pipeline.h"
+#include "sc/sketch.h"
 #include "sc/ssc_admm.h"
 
 namespace fedsc {
@@ -58,6 +59,31 @@ BENCHMARK(BM_SscAdmm)
     ->Args({1024, 50})
     ->Args({16, 160})
     ->UseRealTime();
+
+// The sketched central solve at the many_devices central shape: 10 4-dim
+// subspaces in D = 64, N = 4400 pooled samples against a 128-atom
+// uniform-landmark dictionary (18 column blocks of 128 x 128 x 256 ADMM
+// steps). The sketch is built once, outside the timed loop.
+void BM_SscSketchedAdmm(benchmark::State& state) {
+  SyntheticOptions options;
+  options.ambient_dim = 64;
+  options.subspace_dim = 4;
+  options.num_subspaces = 10;
+  options.points_per_subspace = 440;
+  options.seed = 1;
+  Matrix x = GenerateUnionOfSubspaces(options).value().points;
+  x.NormalizeColumns();
+  SketchOptions sketch_options;
+  sketch_options.dim = 128;
+  sketch_options.seed = 1;
+  const SketchResult sketch = SketchDictionary(x, sketch_options).value();
+  for (auto _ : state) {
+    auto c = SscSketchedSelfExpression(x, sketch);
+    benchmark::DoNotOptimize(c->nnz());
+  }
+  state.SetLabel("N=" + std::to_string(x.cols()) + " d=128");
+}
+BENCHMARK(BM_SscSketchedAdmm)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SscOmp(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), 2);

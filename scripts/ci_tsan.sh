@@ -18,7 +18,7 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_determinism_test fedsc_test \
   server_test faults_test defense_test trace_test journal_test logging_test blas_test \
-  qr_cholesky_test svd_eig_test sketch_test
+  qr_cholesky_test svd_eig_test sketch_test sc_test
 
 # halt_on_error makes the first race fail the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -55,6 +55,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # pool, all writing disjoint slots; TSAN proves the slots really are
 # disjoint for nt in {1, 2, 8}.
 "${build_dir}/tests/sketch_test"
+# SSC-ADMM's fused step fans its column panels out over the pool; each
+# chunk packs into its own thread-local scratch and writes its own columns
+# of C, U, V and its own stopping-rule slot.
+"${build_dir}/tests/sc_test"
 
 # Forced-generic pass: FEDSC_FORCE_ISA pins the portable micro-kernel tier,
 # so the threaded packing/fan-out paths are race-checked on the exact code

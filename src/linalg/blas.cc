@@ -210,16 +210,11 @@ void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
   if (alpha == 0.0 || ka == 0) return;
 
   FEDSC_TRACE_SPAN("linalg/gemm");
-  FEDSC_METRIC_COUNTER("linalg.gemm.calls").Increment();
-  FEDSC_METRIC_COUNTER("linalg.gemm.flops").Add(2 * m * ka * n);
-  // Matrix traffic for the roofline join: A and B read once, C read+written.
-  FEDSC_METRIC_COUNTER("linalg.gemm.bytes")
-      .Add(8 * (m * ka + ka * n + 2 * m * n));
-
   const bool trans_both =
       trans_a == Trans::kTrans && trans_b == Trans::kTrans;
-  if (UseBlockedKernel(options.kernel, m, ka, n, trans_both)) {
-    FEDSC_METRIC_COUNTER("linalg.gemm.blocked_calls").Increment();
+  const bool blocked = UseBlockedKernel(options.kernel, m, ka, n, trans_both);
+  internal_gemm::RecordGemmCall(m, ka, n, blocked);
+  if (blocked) {
     BlockedGemm(trans_a, trans_b, alpha, a, b, c, options.num_threads,
                 ResolveGemmIsa(options.isa));
     return;

@@ -9,7 +9,9 @@
 #endif
 
 #include "common/check.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "linalg/blas.h"
 
 // The generic micro-kernel relies on full unrolling of its fixed-trip-count
@@ -125,7 +127,15 @@ void PackB(const double* b, int64_t ldb, bool transposed, int64_t pc,
            int64_t jc, int64_t kc, int64_t nc, double* out) {
   for (int64_t j0 = 0; j0 < nc; j0 += NR) {
     const int64_t nr = std::min<int64_t>(NR, nc - j0);
-    if (!transposed) {
+    if (!transposed && nr == NR) {
+      // op(B)(p, j) = B(pc + p, jc + j): read NR columns side by side so
+      // each k-slice of the micro-panel is written contiguously.
+      const double* src = b + (jc + j0) * ldb + pc;
+      for (int64_t p = 0; p < kc; ++p) {
+        FEDSC_UNROLL_FULL
+        for (int j = 0; j < NR; ++j) out[p * NR + j] = src[j * ldb + p];
+      }
+    } else if (!transposed) {
       // op(B)(p, j) = B(pc + p, jc + j): column jc+j is contiguous in p.
       if (nr < NR) {
         for (int64_t p = 0; p < kc; ++p) {
@@ -344,25 +354,135 @@ using CoreFn = void (*)(bool, bool, double, const double*, int64_t,
                         const double*, int64_t, int64_t, int64_t, int64_t,
                         Matrix*, bool, int);
 
-// Tier -> driver instantiation. `isa` arrives already resolved (never a
-// pin sentinel) and already validated against cpuid by ResolveGemmIsa.
-CoreFn CoreForIsa(CpuIsa isa) {
-  switch (isa) {
-    case CpuIsa::kGeneric:
-      break;
+// --- Fused product over a prepacked operand ------------------------------
+
+// Per-thread scratch of FusedGemm, apart from GemmScratch so an epilogue
+// may still call Gemm: the packed B slice and every operand's output panel.
+struct FusedScratch {
+  AlignedBuffer bpack;
+  AlignedBuffer out;
+};
+
+FusedScratch& LocalFusedScratch() {
+  thread_local FusedScratch scratch;
+  return scratch;
+}
+
+// Commits one micro-tile's partial sums, acc (MR x NR), to the mr x nr
+// corner of the R tile at `rtile`: the first commit writes 0 + alpha * acc,
+// the later ones add alpha * acc. Called with mr = MR, nr = NR for full
+// tiles, so the compiler sees fixed trip counts and vectorizes them.
+template <int MR, int NR>
+inline void CommitTile(bool first, double alpha, const double* acc,
+                       int64_t mr, int64_t nr, double* rtile, int64_t ldr) {
+  for (int64_t j = 0; j < nr; ++j) {
+    double* rj = rtile + j * ldr;
+    const double* aj = acc + j * MR;
+    if (first) {
+      for (int64_t i = 0; i < mr; ++i) rj[i] = 0.0 + alpha * aj[i];
+    } else {
+      for (int64_t i = 0; i < mr; ++i) rj[i] += alpha * aj[i];
+    }
+  }
+}
+
+// R (m x n, leading dimension m) = alpha * op(A) * B for one column panel
+// of n columns of B, A prepacked by PackA over its whole depth. Every
+// element takes BlockedCoreT's operation sequence — micro-kernel partial
+// sums over kc-deep slices, committed with alpha in ascending pc — with
+// `commit_depth` as the slice depth; the first commit writes 0 + alpha *
+// acc, which is what BlockedCoreT's += onto a zero-filled C computes.
+template <int MR, int NR, MicroFn Micro>
+void PackedProductT(const PackedGemmOperand& a, int64_t commit_depth,
+                    const double* b, int64_t ldb, int64_t n, double* bpack,
+                    double* r) {
+  static_assert(kMc % MR == 0, "row blocks must hold whole micro-panels");
+  const int64_t m = a.rows();
+  const int64_t k = a.depth();
+  const double alpha = a.alpha();
+  for (int64_t pc = 0; pc < k; pc += commit_depth) {
+    const int64_t kc = std::min<int64_t>(commit_depth, k - pc);
+    PackB<NR>(b, ldb, /*transposed=*/false, pc, /*jc=*/0, kc, n, bpack);
+    for (int64_t ic = 0; ic < m; ic += kMc) {
+      const int64_t mc = std::min<int64_t>(kMc, m - ic);
+      for (int64_t jr = 0; jr < n; jr += NR) {
+        const int64_t nr = std::min<int64_t>(NR, n - jr);
+        const double* bpanel = bpack + (jr / NR) * kc * NR;
+        for (int64_t ir = 0; ir < mc; ir += MR) {
+          const int64_t mr = std::min<int64_t>(MR, mc - ir);
+          const double* apanel = a.panels() + (ic + ir) * k + pc * MR;
+          alignas(64) double acc[MR * NR];
+          Micro(kc, apanel, bpanel, acc);
+          double* rtile = r + jr * m + ic + ir;
+          if (mr == MR && nr == NR) {
+            CommitTile<MR, NR>(pc == 0, alpha, acc, MR, NR, rtile, m);
+          } else {
+            CommitTile<MR, NR>(pc == 0, alpha, acc, mr, nr, rtile, m);
+          }
+        }
+      }
+    }
+  }
+}
+
+using PackOperandFn = void (*)(const double*, int64_t, bool, int64_t,
+                               int64_t, int64_t, int64_t, double*);
+using PackedProductFn = void (*)(const PackedGemmOperand&, int64_t,
+                                 const double*, int64_t, int64_t, double*,
+                                 double*);
+
+// One micro-kernel tier's instantiations: its tile shape, the blocked
+// driver, the operand packer, and the fused product.
+struct TierKernels {
+  int mr;
+  int nr;
+  CoreFn core;
+  PackOperandFn pack_operand;
+  PackedProductFn packed_product;
+};
+
+template <int MR, int NR, MicroFn Micro>
+constexpr TierKernels MakeTier() {
+  return {MR, NR, &BlockedCoreT<MR, NR, Micro>, &PackA<MR>,
+          &PackedProductT<MR, NR, Micro>};
+}
+
+// Tier -> instantiations. `isa` arrives already resolved (never a pin
+// sentinel) and already validated against cpuid by ResolveGemmIsa.
+const TierKernels& KernelsForIsa(CpuIsa isa) {
+  static constexpr TierKernels kGenericTier =
+      MakeTier<kGenericMr, kGenericNr,
+               &MicroGeneric<kGenericMr, kGenericNr>>();
 #if defined(__x86_64__) || defined(__i386__)
+  static constexpr TierKernels kAvx2Tier =
+      MakeTier<kAvx2Mr, kAvx2Nr, &MicroAvx2>();
+  static constexpr TierKernels kAvx512Tier =
+      MakeTier<kAvx512Mr, kAvx512Nr, &MicroAvx512>();
+  switch (isa) {
     case CpuIsa::kAvx2:
-      return &BlockedCoreT<kAvx2Mr, kAvx2Nr, &MicroAvx2>;
+      return kAvx2Tier;
     case CpuIsa::kAvx512:
-      return &BlockedCoreT<kAvx512Mr, kAvx512Nr, &MicroAvx512>;
-#else
+      return kAvx512Tier;
     default:
       break;
-#endif
   }
-  return &BlockedCoreT<kGenericMr, kGenericNr,
-                       &MicroGeneric<kGenericMr, kGenericNr>>;
+#else
+  (void)isa;
+#endif
+  return kGenericTier;
 }
+
+// What Gemm's kAuto dispatch picks for an NN/TN product of this shape.
+bool AutoPicksBlocked(int64_t m, int64_t k, int64_t n) {
+  return m * k * n >= kBlockedGemmCutoff;
+}
+
+// A fused product's output panel holds about kFusedPanelDoubles (128 KB,
+// so it is still in L2 when the epilogue reads it), but at least
+// kMinFusedPanelCols columns, so a large operand is streamed from memory at
+// most once per 64 columns. Neither affects bits.
+constexpr int64_t kFusedPanelDoubles = int64_t{1} << 14;
+constexpr int64_t kMinFusedPanelCols = 64;
 
 }  // namespace
 
@@ -373,8 +493,9 @@ void BlockedGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
   const int64_t m = ta ? a.cols() : a.rows();
   const int64_t k = ta ? a.rows() : a.cols();
   const int64_t n = tb ? b.rows() : b.cols();
-  CoreForIsa(isa)(ta, tb, alpha, a.data(), a.rows(), b.data(), b.rows(), m, k,
-                  n, c, /*lower_only=*/false, num_threads);
+  KernelsForIsa(isa).core(ta, tb, alpha, a.data(), a.rows(), b.data(),
+                          b.rows(), m, k, n, c, /*lower_only=*/false,
+                          num_threads);
 }
 
 void BlockedSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c,
@@ -384,8 +505,106 @@ void BlockedSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c,
   const bool gram = trans != Trans::kNo;
   const int64_t nn = gram ? x.cols() : x.rows();
   const int64_t kk = gram ? x.rows() : x.cols();
-  CoreForIsa(isa)(gram, !gram, alpha, x.data(), x.rows(), x.data(), x.rows(),
-                  nn, kk, nn, c, /*lower_only=*/true, num_threads);
+  KernelsForIsa(isa).core(gram, !gram, alpha, x.data(), x.rows(), x.data(),
+                          x.rows(), nn, kk, nn, c, /*lower_only=*/true,
+                          num_threads);
 }
+
+PackedGemmOperand::PackedGemmOperand(Trans trans, double alpha,
+                                     const Matrix& a, GemmIsa isa)
+    : isa_(ResolveGemmIsa(isa)),
+      alpha_(alpha),
+      rows_(trans == Trans::kNo ? a.rows() : a.cols()),
+      depth_(trans == Trans::kNo ? a.cols() : a.rows()) {
+  const TierKernels& tier = KernelsForIsa(isa_);
+  const int64_t doubles = std::max<int64_t>(
+      1, RoundUp(rows_, tier.mr) * depth_);
+  panels_.reset(static_cast<double*>(std::aligned_alloc(
+      64, static_cast<size_t>(RoundUp(doubles * sizeof(double), 64)))));
+  FEDSC_CHECK(panels_ != nullptr) << "packed operand allocation failed";
+  tier.pack_operand(a.data(), a.rows(), trans != Trans::kNo, 0, 0, rows_,
+                    depth_, panels_.get());
+}
+
+void FusedGemm(std::span<const PackedGemmOperand> chain, const Matrix& b,
+               int num_threads, const FusedGemmEpilogue& epilogue) {
+  FEDSC_CHECK(!chain.empty()) << "fused gemm needs an operand";
+  const int64_t n = b.cols();
+  int64_t rows_in = b.rows();
+  int64_t max_rows = 1;
+  int64_t out_rows = 0;  // sum of the operands' rows: one output panel each
+  int64_t work = 0;
+  for (const PackedGemmOperand& a : chain) {
+    FEDSC_CHECK(a.depth() == rows_in)
+        << "fused gemm inner dims " << a.depth() << " vs " << rows_in;
+    max_rows = std::max(max_rows, a.rows());
+    out_rows += a.rows();
+    work += a.rows() * a.depth() * n;
+    rows_in = a.rows();
+  }
+  if (n == 0) return;
+
+  FEDSC_TRACE_SPAN("linalg/gemm");
+  for (const PackedGemmOperand& a : chain) {
+    internal_gemm::RecordGemmCall(a.rows(), a.depth(), n,
+                                  AutoPicksBlocked(a.rows(), a.depth(), n));
+  }
+
+  const int64_t panel_cols = std::min(
+      kNc, std::max(kMinFusedPanelCols, kFusedPanelDoubles / max_rows));
+  // Same serial-inline threshold as the GEMM engines.
+  const int threads = work < (1 << 16) ? 1 : std::min<int>(num_threads, 64);
+  auto commit_depth = [n](const PackedGemmOperand& a) {
+    return AutoPicksBlocked(a.rows(), a.depth(), n)
+               ? std::min(a.depth(), kKc)
+               : a.depth();
+  };
+  auto body = [&](int64_t j0, int64_t j1, int chunk) {
+    FusedScratch& scratch = LocalFusedScratch();
+    const int64_t width = std::min(panel_cols, j1 - j0);
+    int64_t bpack_doubles = 0;
+    for (const PackedGemmOperand& a : chain) {
+      bpack_doubles = std::max(bpack_doubles,
+                               RoundUp(width, KernelsForIsa(a.isa()).nr) *
+                                   commit_depth(a));
+    }
+    double* bpack = scratch.bpack.EnsureCapacity(bpack_doubles);
+    double* out = scratch.out.EnsureCapacity(out_rows * width);
+    for (int64_t jp = j0; jp < j1; jp += width) {
+      const int64_t cols = std::min(width, j1 - jp);
+      // Operand i reads operand i-1's output panel (B's columns for the
+      // first) and writes its own, m_i x cols at leading dimension m_i.
+      const double* in = b.ColData(jp);
+      int64_t ld_in = b.rows();
+      double* r = out;
+      for (const PackedGemmOperand& a : chain) {
+        KernelsForIsa(a.isa()).packed_product(a, commit_depth(a), in, ld_in,
+                                              cols, bpack, r);
+        in = r;
+        ld_in = a.rows();
+        if (&a != &chain.back()) r += a.rows() * width;
+      }
+      epilogue(jp, jp + cols, r, chunk);
+    }
+  };
+  if (ParallelChunkCount(0, n, threads) <= 1) {
+    body(0, n, 0);
+  } else {
+    ParallelForRanges(0, n, threads, body);
+  }
+}
+
+namespace internal_gemm {
+
+void RecordGemmCall(int64_t m, int64_t k, int64_t n, bool blocked) {
+  FEDSC_METRIC_COUNTER("linalg.gemm.calls").Increment();
+  FEDSC_METRIC_COUNTER("linalg.gemm.flops").Add(2 * m * k * n);
+  // Matrix traffic for the roofline join: A and B read once, C read+written.
+  FEDSC_METRIC_COUNTER("linalg.gemm.bytes")
+      .Add(8 * (m * k + k * n + 2 * m * n));
+  if (blocked) FEDSC_METRIC_COUNTER("linalg.gemm.blocked_calls").Increment();
+}
+
+}  // namespace internal_gemm
 
 }  // namespace fedsc

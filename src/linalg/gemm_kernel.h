@@ -41,18 +41,27 @@
 // engine and the legacy panel kernels IS result-affecting (different
 // summation order); linalg/blas.h documents the cutoff, the
 // GemmOptions::kernel pin, and the GemmOptions::isa pin.
+//
+// FusedGemm reuses the same packers and micro-kernels for an iterative
+// solver's step: the constant operator is packed once (PackedGemmOperand),
+// and each column panel of the right-hand side runs through the
+// micro-kernels and straight into a caller epilogue, keeping Gemm's
+// per-element summation (see its comment for the exact contract).
 
 #ifndef FEDSC_LINALG_GEMM_KERNEL_H_
 #define FEDSC_LINALG_GEMM_KERNEL_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <span>
 
 #include "common/isa.h"
+#include "linalg/blas.h"
 #include "linalg/matrix.h"
 
 namespace fedsc {
-
-enum class Trans;  // defined in linalg/blas.h
 
 // C += alpha * op(A) * op(B) through the blocked packed engine. The caller
 // (the Gemm dispatcher in blas.cc) validates shapes, applies beta to C
@@ -71,7 +80,64 @@ void BlockedGemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
 void BlockedSyrkLower(Trans trans, double alpha, const Matrix& x, Matrix* c,
                       int num_threads, CpuIsa isa = CpuIsa::kGeneric);
 
+// alpha * op(A), packed once in a micro-kernel tier's A-panel layout for
+// repeated products against changing right-hand sides — an iterative
+// solver's constant operator. The packing spans the whole depth (one
+// k-major micro-panel of MR rows per row block, tail rows zero-padded), so
+// FusedGemm slices any kc block out of it without repacking. Move-only.
+class PackedGemmOperand {
+ public:
+  PackedGemmOperand(Trans trans, double alpha, const Matrix& a,
+                    GemmIsa isa = GemmIsa::kAuto);
+
+  int64_t rows() const { return rows_; }   // m of op(A)
+  int64_t depth() const { return depth_; } // k of op(A)
+  double alpha() const { return alpha_; }
+  CpuIsa isa() const { return isa_; }
+  const double* panels() const { return panels_.get(); }
+
+ private:
+  struct FreeDeleter {
+    void operator()(double* p) const { std::free(p); }
+  };
+  CpuIsa isa_;
+  double alpha_;
+  int64_t rows_;
+  int64_t depth_;
+  std::unique_ptr<double, FreeDeleter> panels_;
+};
+
+// Called once per column panel of a FusedGemm: columns [j0, j1) of the
+// product are final in `r` (column-major, leading dimension = the last
+// operand's rows; the callee may overwrite it). `chunk` is the
+// ParallelForRanges chunk running the panel, below
+// ParallelChunkCount(0, b.cols(), num_threads).
+using FusedGemmEpilogue =
+    std::function<void(int64_t j0, int64_t j1, double* r, int chunk)>;
+
+// The chained product R = A_s (... (A_2 (A_1 B))), each A_i a packed
+// alpha_i op(A_i), streamed through column panels of B: each panel of B is
+// packed, run through every operand's micro-kernel over all rows, and handed
+// to `epilogue` while it is still in cache — no full-size R, no beta pass.
+// Column panels fan out through ParallelForRanges (a nested call runs
+// inline), and R is bit-identical for every thread count. Each element is
+// one partial sum in ascending p, committed with alpha at the kKc
+// boundaries where Gemm (kAuto, same tier) would pick the blocked engine,
+// and in one run over all of k where it would pick the panel engine. So R
+// equals Gemm's output bit for bit on blocked shapes. On panel shapes it
+// does for untransposed operands with alpha = +-1 and finite entries, when
+// the build contracts the panel kernels' multiply-adds into FMAs (Release
+// builds do); transposed operands there sum differently from the panel
+// engine's dot products. Every operand counts as one Gemm call in the
+// linalg.gemm.* metrics.
+void FusedGemm(std::span<const PackedGemmOperand> chain, const Matrix& b,
+               int num_threads, const FusedGemmEpilogue& epilogue);
+
 namespace internal_gemm {
+// The linalg.gemm.* accounting of one m x k x n product (shared by Gemm and
+// FusedGemm, so both count a product identically).
+void RecordGemmCall(int64_t m, int64_t k, int64_t n, bool blocked);
+
 // Tunables, exposed for tests/benchmarks. kKc is the only result-affecting
 // one (it sets the partial-sum commit boundaries); the per-tier MR/NR and
 // kMc/kNc only move work between cache levels, vector registers, and

@@ -14,6 +14,7 @@
 #include "common/trace.h"
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
+#include "linalg/gemm_kernel.h"
 #include "sc/affinity.h"
 
 namespace fedsc {
@@ -63,21 +64,21 @@ void RecordGramFlops(int64_t nn, int64_t kk) {
 //   Z = P + rho H^{-1} (C - U),
 //   C = soft-threshold(Z + U, 1/rho), one pinned zero per column,
 //   U = U + Z - C.
-// Each iteration is one operator application, r = op(V), followed by one
-// fused pass (FusedUpdate) that forms Z and writes the next V = C - U.
+// Each iteration is one FusedGemm over V = C - U with the operator packed
+// once per solve: per column panel, the product r = op(V) lands in a
+// cache-resident buffer and the FusedUpdate epilogue forms Z from it and
+// writes the next C, U and V for those columns.
 struct AdmmState {
   // Starts from C = U = 0.
   explicit AdmmState(Matrix constant_term)
       : p(std::move(constant_term)),
         c(p.rows(), p.cols()),
         u(p.rows(), p.cols()),
-        v(p.rows(), p.cols()),
-        r(p.rows(), p.cols()) {}
+        v(p.rows(), p.cols()) {}
   Matrix p;  // H^{-1} (constant right-hand side)
   Matrix c;
   Matrix u;
-  Matrix v;  // C - U, the operator's next input
-  Matrix r;  // the operator's output; rho H^{-1} V = r + v_coef * V
+  Matrix v;  // C - U, the operator's next input; rho H^{-1} V = r + v_coef V
 };
 
 // Affine mode: the rho 1 1^T penalty's Sherman-Morrison term,
@@ -89,7 +90,7 @@ struct AffineTerms {
 };
 
 // Independent accumulators for the stopping-rule maxima: they break the
-// loop-carried max chain, so UpdateRows vectorizes. Max is exact in any
+// loop-carried max chain, so UpdateColumn vectorizes. Max is exact in any
 // order, so the residual does not depend on the lane count.
 constexpr int kLanes = 8;
 
@@ -108,45 +109,60 @@ struct alignas(64) PassMaxima {
   }
 };
 
-// Rows [i0, i1) of one column: Z = P + R + v_coef V, C_next = soft-threshold
-// of Z + U at `threshold`, U += Z - C_next, V = C_next - U. Soft-thresholding
-// is w - clamp(w, -t, t), branch-free and bit-identical to the branchy form.
-void UpdateRows(int64_t i0, int64_t i1, double threshold, double v_coef,
-                const double* __restrict p, const double* __restrict r,
-                double* __restrict c, double* __restrict u,
-                double* __restrict v, PassMaxima* maxima) {
+// One column: Z = P + R + v_coef V, C_next = soft-threshold of Z + U,
+// U += Z - C_next, V = C_next - U. Soft-thresholding is w - clamp(w, -t, t),
+// branch-free and bit-identical to the branchy form; row `pinned` (negative
+// for none) takes t = infinity, which shrinks it to exactly zero — a
+// per-row select, so the whole column stays one vectorized loop.
+void UpdateColumn(int64_t rows, int64_t pinned, double threshold,
+                  double v_coef, const double* __restrict p,
+                  const double* __restrict r, double* __restrict c,
+                  double* __restrict u, double* __restrict v,
+                  PassMaxima* maxima) {
+  // Local lanes, so the maxima stay in registers across the loop.
+  PassMaxima local = *maxima;
   auto update = [&](int64_t i, int lane) {
+    const double t =
+        i == pinned ? std::numeric_limits<double>::infinity() : threshold;
     const double z = p[i] + r[i] + v_coef * v[i];
     const double w = z + u[i];
-    const double next = w - std::min(std::max(w, -threshold), threshold);
+    const double next = w - std::min(std::max(w, -t), t);
     const double dc = std::fabs(next - c[i]);
     const double gap = z - next;
     const double zc = std::fabs(gap);
-    maxima->dc[lane] = std::max(maxima->dc[lane], dc);
-    maxima->zc[lane] = std::max(maxima->zc[lane], zc);
+    local.dc[lane] = std::max(local.dc[lane], dc);
+    local.zc[lane] = std::max(local.zc[lane], zc);
     c[i] = next;
     u[i] += gap;
     v[i] = next - u[i];
   };
-  const int64_t full = i0 + (i1 - i0) / kLanes * kLanes;
-  for (int64_t i = i0; i < full; i += kLanes) {
+  const int64_t full = rows / kLanes * kLanes;
+  for (int64_t i = 0; i < full; i += kLanes) {
     for (int lane = 0; lane < kLanes; ++lane) update(i + lane, lane);
   }
-  for (int64_t i = full; i < i1; ++i) update(i, 0);
+  int64_t i = full;
+  if (i + kLanes / 2 <= rows) {  // a half-width vector step (20 = 16 + 4)
+    for (int lane = 0; lane < kLanes / 2; ++lane) update(i + lane, lane);
+    i += kLanes / 2;
+  }
+  for (; i < rows; ++i) update(i, 0);
+  *maxima = local;
 }
 
-// The fused Z/C/U pass over columns [j0, j1) of `state`; entry
-// forbidden(j) of column j (negative for none) is pinned to zero: diag(C) =
-// 0, or a landmark's own atom. Columns are independent, so disjoint ranges
-// may run concurrently.
+// The fused Z/C/U pass over columns [j0, j1) of `state`, whose operator
+// output r holds those columns at leading dimension rows; entry forbidden(j)
+// of column j (negative for none) is pinned to zero: diag(C) = 0, or a
+// landmark's own atom. The maxima accumulate into `maxima`. Columns are
+// independent, so disjoint ranges may run concurrently.
 template <typename Forbidden>
-void FusedUpdate(int64_t j0, int64_t j1, double threshold, double v_coef,
-                 AffineTerms* affine, const Forbidden& forbidden,
-                 AdmmState* state, PassMaxima* maxima) {
+void FusedUpdate(int64_t j0, int64_t j1, double* r, double threshold,
+                 double v_coef, AffineTerms* affine,
+                 const Forbidden& forbidden, AdmmState* state,
+                 PassMaxima* maxima) {
   const int64_t rows = state->c.rows();
   for (int64_t j = j0; j < j1; ++j) {
     const double* pj = state->p.ColData(j);
-    double* rj = state->r.ColData(j);
+    double* rj = r + (j - j0) * rows;
     double* cj = state->c.ColData(j);
     double* uj = state->u.ColData(j);
     double* vj = state->v.ColData(j);
@@ -164,14 +180,8 @@ void FusedUpdate(int64_t j0, int64_t j1, double threshold, double v_coef,
       }
       dual += z_sum - 1.0;
     }
-    // An infinite threshold shrinks the pinned entry to exactly zero.
-    const int64_t pinned = forbidden(j);
-    const int64_t pin_begin = pinned < 0 ? rows : pinned;
-    const int64_t pin_end = pinned < 0 ? rows : pinned + 1;
-    UpdateRows(0, pin_begin, threshold, v_coef, pj, rj, cj, uj, vj, maxima);
-    UpdateRows(pin_begin, pin_end, std::numeric_limits<double>::infinity(),
-               v_coef, pj, rj, cj, uj, vj, maxima);
-    UpdateRows(pin_end, rows, threshold, v_coef, pj, rj, cj, uj, vj, maxima);
+    UpdateColumn(rows, forbidden(j), threshold, v_coef, pj, rj, cj, uj, vj,
+                 maxima);
   }
 }
 
@@ -218,14 +228,15 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   // rho I. Its constant part is hoisted: P = H^{-1} lambda G = I - rho H^{-1},
   // so each iteration only applies rho H^{-1} to V = C - U. Two
   // formulations of that product, picked by their per-iteration flops:
-  //   direct:   rho H^{-1} = (I + kappa G)^{-1}, kept as an N x N matrix —
-  //             one GEMM, 2 N^3;
+  //   direct:   rho H^{-1} = (I + kappa G)^{-1}, an N x N operator —
+  //             one product, 2 N^3;
   //   Woodbury: rho H^{-1} V = V - X^T (K V), K = kappa (I_n + kappa X X^T)^{-1}
-  //             X, so P = X^T K — two GEMMs, 4 n N^2.
+  //             X, so P = X^T K — two chained products, 4 n N^2.
   // Woodbury wins exactly when 2n < N.
   const bool use_woodbury = SscAdmmUsesWoodbury(n, num_points);
-  Matrix op;  // direct: (I + kappa G)^{-1}; Woodbury: K (n x N)
-  Matrix kv;  // Woodbury workspace: K V
+  // The operator chain FusedGemm applies: direct, (I + kappa G)^{-1};
+  // Woodbury, K then -X^T. Each operand is packed once, here.
+  std::vector<PackedGemmOperand> op;
   Matrix p;
   if (use_woodbury) {
     gram = Matrix();  // only mu needed it; frees N^2 doubles
@@ -234,33 +245,24 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
     s *= kappa;
     for (int64_t i = 0; i < n; ++i) s(i, i) += 1.0;
     FEDSC_ASSIGN_OR_RETURN(const Matrix s_inverse, SpdInverse(s));
-    op = Matrix(n, num_points);
-    Gemm(Trans::kNo, Trans::kNo, kappa, s_inverse, x, 0.0, &op,
+    Matrix k(n, num_points);
+    Gemm(Trans::kNo, Trans::kNo, kappa, s_inverse, x, 0.0, &k,
          options.num_threads);
-    kv = Matrix(n, num_points);
-    p = MatMulTN(x, op, options.num_threads);
+    p = MatMulTN(x, k, options.num_threads);
+    op.emplace_back(Trans::kNo, 1.0, k);
+    op.emplace_back(Trans::kTrans, -1.0, x);
   } else {
     gram *= kappa;
     for (int64_t i = 0; i < num_points; ++i) gram(i, i) += 1.0;
-    FEDSC_ASSIGN_OR_RETURN(op, SpdInverse(gram));
+    FEDSC_ASSIGN_OR_RETURN(p, SpdInverse(gram));
     gram = Matrix();
-    p = op;
+    op.emplace_back(Trans::kNo, 1.0, p);
     p *= -1.0;
     for (int64_t i = 0; i < num_points; ++i) p(i, i) += 1.0;
   }
   AdmmState state(std::move(p));
-  // rho H^{-1} M = r + v_coef * M, with r what apply_operator writes.
+  // rho H^{-1} M = r + v_coef * M, with r the chain's output.
   const double v_coef = use_woodbury ? 1.0 : 0.0;
-  auto apply_operator = [&](const Matrix& m, Matrix* r) {
-    if (use_woodbury) {
-      if (kv.cols() != m.cols()) kv = Matrix(n, m.cols());
-      Gemm(Trans::kNo, Trans::kNo, 1.0, op, m, 0.0, &kv, options.num_threads);
-      Gemm(Trans::kTrans, Trans::kNo, -1.0, x, kv, 0.0, r,
-           options.num_threads);
-    } else {
-      Gemm(Trans::kNo, Trans::kNo, 1.0, op, m, 0.0, r, options.num_threads);
-    }
-  };
 
   // Affine mode: the rho 1 1^T penalty enters through Sherman-Morrison on
   // top of rho H^{-1}; its constant part rho 1 1^T joins P.
@@ -268,14 +270,15 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
   if (options.affine) {
     Matrix ones(num_points, 1);
     ones.Fill(1.0);
-    Matrix h1(num_points, 1);
-    apply_operator(ones, &h1);
-    affine.h_ones = h1.Col(0);
+    affine.h_ones.resize(static_cast<size_t>(num_points));
+    FusedGemm(op, ones, options.num_threads,
+              [&](int64_t, int64_t, double* r, int) {
+                for (int64_t i = 0; i < num_points; ++i) {
+                  affine.h_ones[static_cast<size_t>(i)] = r[i] + v_coef;
+                }
+              });
     double dot_1h1 = 0.0;
-    for (double& v : affine.h_ones) {
-      v += v_coef;
-      dot_1h1 += v;
-    }
+    for (double v : affine.h_ones) dot_1h1 += v;
     affine.scale = 1.0 / (1.0 + dot_1h1);
     for (int64_t j = 0; j < num_points; ++j) {
       Axpy(affine.scale * affine.h_ones[static_cast<size_t>(j)],
@@ -284,14 +287,19 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
     affine.dual.assign(static_cast<size_t>(num_points), 0.0);
   }
 
-  // Stopping-rule maxima reduce per column chunk on the worker's stack, are
-  // stored once per chunk, then combine in chunk order — max is exact in any
-  // order, so the residual is bit-identical across thread counts.
+  // Stopping-rule maxima reduce per column chunk into that chunk's slot,
+  // then combine in chunk order — max is exact in any order, so the
+  // residual is bit-identical across thread counts.
   const double threshold = 1.0 / rho;
-  const int chunks =
-      std::max(1, ParallelChunkCount(0, num_points, options.num_threads));
-  std::vector<PassMaxima> chunk_maxima(static_cast<size_t>(chunks));
+  std::vector<PassMaxima> chunk_maxima(static_cast<size_t>(
+      std::max(1, ParallelChunkCount(0, num_points, options.num_threads))));
   auto diagonal = [](int64_t j) { return j; };
+  const FusedGemmEpilogue update = [&](int64_t j0, int64_t j1, double* r,
+                                       int chunk) {
+    FusedUpdate(j0, j1, r, threshold, v_coef,
+                options.affine ? &affine : nullptr, diagonal, &state,
+                &chunk_maxima[static_cast<size_t>(chunk)]);
+  };
   Stopwatch deadline_timer;
   double residual = std::numeric_limits<double>::infinity();
   int iteration = 0;
@@ -302,15 +310,8 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
                                       std::to_string(options.deadline_seconds) +
                                       "s");
     }
-    apply_operator(state.v, &state.r);
-    ParallelForRanges(0, num_points, options.num_threads,
-                      [&](int64_t j0, int64_t j1, int chunk) {
-                        PassMaxima maxima;
-                        FusedUpdate(j0, j1, threshold, v_coef,
-                                    options.affine ? &affine : nullptr,
-                                    diagonal, &state, &maxima);
-                        chunk_maxima[static_cast<size_t>(chunk)] = maxima;
-                      });
+    std::fill(chunk_maxima.begin(), chunk_maxima.end(), PassMaxima{});
+    FusedGemm(op, state.v, options.num_threads, update);
     residual = 0.0;
     for (const PassMaxima& m : chunk_maxima) {
       residual = std::max(residual, m.Residual());
@@ -433,9 +434,11 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
   RecordGramFlops(num_atoms, n);
   h *= kappa;
   for (int64_t a = 0; a < num_atoms; ++a) h(a, a) += 1.0;
-  FEDSC_ASSIGN_OR_RETURN(const Matrix op, SpdInverse(h));
+  FEDSC_ASSIGN_OR_RETURN(const Matrix h_inverse, SpdInverse(h));
   Matrix l(num_atoms, n);
-  Gemm(Trans::kNo, Trans::kTrans, kappa, op, b, 0.0, &l, options.num_threads);
+  Gemm(Trans::kNo, Trans::kTrans, kappa, h_inverse, b, 0.0, &l,
+       options.num_threads);
+  const PackedGemmOperand op(Trans::kNo, 1.0, h_inverse);
 
   const int64_t num_blocks =
       (num_points + kSketchBlockCols - 1) / kSketchBlockCols;
@@ -468,13 +471,18 @@ Result<SparseMatrix> SscSketchedSelfExpression(const Matrix& x,
       };
 
       const double threshold = 1.0 / rho;
+      PassMaxima maxima;
+      const FusedGemmEpilogue update = [&](int64_t c0, int64_t c1, double* r,
+                                           int /*chunk*/) {
+        FusedUpdate(c0, c1, r, threshold, 0.0, nullptr, self_atom_of, &state,
+                    &maxima);
+      };
       double residual = std::numeric_limits<double>::infinity();
       int iteration = 0;
       for (; iteration < options.max_iterations; ++iteration) {
-        Gemm(Trans::kNo, Trans::kNo, 1.0, op, state.v, 0.0, &state.r);
-        PassMaxima maxima;
-        FusedUpdate(0, nb, threshold, 0.0, nullptr, self_atom_of, &state,
-                    &maxima);
+        maxima = PassMaxima{};
+        // Blocks are the unit of parallelism; the step runs inline.
+        FusedGemm({&op, 1}, state.v, /*num_threads=*/1, update);
         residual = maxima.Residual();
         if (residual < options.tol) break;
       }

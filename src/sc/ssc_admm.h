@@ -8,10 +8,22 @@
 // with lambda = alpha / mu, mu = min_i max_{j != i} |x_j^T x_i| (Proposition
 // 1 of Elhamifar-Vidal; the paper uses alpha = 50). The Z-update's constant
 // part P = H^{-1} lambda X^T X, H = lambda X^T X + rho I, is formed once, so
-// an iteration is Z = P + rho H^{-1} (C - U) plus one fused pass over C and
-// U. rho H^{-1} is applied either as an N x N matrix (one GEMM, 2 N^3 flops)
-// or through the Woodbury identity (two GEMMs, 4 n N^2), whichever costs
-// fewer flops: Woodbury exactly when 2n < N.
+// an iteration is Z = P + rho H^{-1} (C - U) plus the C and U updates.
+// rho H^{-1} is applied either as an N x N matrix (one product, 2 N^3
+// flops) or through the Woodbury identity (two products, 4 n N^2),
+// whichever costs fewer flops: Woodbury exactly when 2n < N.
+//
+// Each iteration is one fused step (FusedGemm, linalg/gemm_kernel.h): the
+// operator is packed once per solve in the GEMM tier's A-panel layout, and
+// for each column panel of V = C - U the step packs the panel, runs the
+// micro-kernel over all rows, and applies the Z/C/U update and the
+// stopping-rule maxima to those columns while they are in cache. Its
+// determinism contract: each product element sums exactly as Gemm would
+// on that shape, so the iterates are bit-identical to one Gemm plus one
+// update pass per iteration on blocked-engine shapes and, for finite
+// operators, on the direct path's panel-engine shapes (N <= 31) of
+// FMA-contracted builds; column panels and maxima are fixed per column, so
+// results are bit-identical for every thread count.
 
 #ifndef FEDSC_SC_SSC_ADMM_H_
 #define FEDSC_SC_SSC_ADMM_H_
@@ -45,8 +57,8 @@ struct SscAdmmOptions {
   // overruns it (the paper's Table III enforces a 1-day cut-off on
   // centralized SSC the same way).
   double deadline_seconds = 0.0;
-  // Workers for the matrix-form updates: the Gram/Z-update GEMMs and the
-  // soft-threshold pass partition their output column panels, and the final
+  // Workers for the matrix-form updates: the Gram GEMMs and the fused
+  // Z-update step partition their output column panels, and the final
   // sparsification fans out per column — all bit-identical for every thread
   // count.
   int num_threads = 1;
@@ -73,9 +85,10 @@ Result<SparseMatrix> SscSelfExpression(const Matrix& x,
 //   min_C ||C||_1 + lambda/2 ||X - B C||_F^2,   C in R^{d x N},
 //
 // so the Z-update inverts one d x d operator shared by every column and the
-// per-iteration cost is 2 d^2 N flops instead of min(2 N^3, 4 n N^2). Each
-// column block's constant term is formed once and its iterations run the
-// same update as SscSelfExpression. The Lasso
+// per-iteration cost is 2 d^2 N flops instead of min(2 N^3, 4 n N^2). The
+// operator is packed once per solve; each column block's constant term is
+// formed once and its iterations run the same fused step as
+// SscSelfExpression. The Lasso
 // separates per column, so columns are processed in fixed-size blocks (a
 // pure function of N, never of the thread count) with block-local stopping;
 // results are bit-identical for every thread count. For landmark sketches a

@@ -1,10 +1,14 @@
 #include <cmath>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "linalg/blas.h"
+#include "linalg/gemm_kernel.h"
 
 namespace fedsc {
 namespace {
@@ -434,6 +438,141 @@ TEST(GemmIsaTest, AutoDispatchBitMatchesThePinnedResolvedTier) {
   for (int64_t j = 0; j < 45; ++j) {
     for (int64_t i = 0; i < 50; ++i) {
       ASSERT_EQ(c_auto(i, j), c_pinned(i, j));
+    }
+  }
+}
+
+// The whole output of a FusedGemm, gathered panel by panel from its
+// epilogue (which also checks the panels tile the columns exactly once).
+Matrix FusedProduct(std::span<const PackedGemmOperand> chain, const Matrix& b,
+                    int num_threads) {
+  Matrix r(chain.back().rows(), b.cols());
+  std::vector<int> seen(static_cast<size_t>(b.cols()), 0);
+  FusedGemm(chain, b, num_threads,
+            [&](int64_t j0, int64_t j1, double* panel, int /*chunk*/) {
+              std::memcpy(r.ColData(j0), panel,
+                          sizeof(double) * static_cast<size_t>(r.rows() *
+                                                               (j1 - j0)));
+              for (int64_t j = j0; j < j1; ++j) {
+                ++seen[static_cast<size_t>(j)];
+              }
+            });
+  for (int count : seen) EXPECT_EQ(count, 1);
+  return r;
+}
+
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     sizeof(double) * static_cast<size_t>(x.size())) == 0;
+}
+
+// Whether the panel engine rounds a multiply-add like `tier`'s micro-kernel:
+// its Axpy chain fuses a * b + c only when the compiler contracts it (the
+// Release builds do; the -O1 sanitizer builds do not), while the SIMD
+// tiers always issue FMAs. x * x rounds to -y below, so only a fused
+// multiply-add keeps the 2^-60.
+bool PanelRoundsLikeTier(GemmIsa tier) {
+  const double x = 1.0 + std::ldexp(1.0, -30);
+  Matrix a(1, 2);
+  a(0, 0) = 1.0;
+  a(0, 1) = x;
+  Matrix b(2, 1);
+  b(0, 0) = -(1.0 + std::ldexp(1.0, -29));
+  b(1, 0) = x;
+  GemmOptions panel;
+  panel.kernel = GemmKernel::kPanel;
+  GemmOptions blocked;
+  blocked.kernel = GemmKernel::kBlocked;
+  blocked.isa = tier;
+  Matrix via_panel(1, 1);
+  Matrix via_blocked(1, 1);
+  Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &via_panel, panel);
+  Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &via_blocked, blocked);
+  return SameBits(via_panel, via_blocked);
+}
+
+// The fused product must equal Gemm (kAuto, same tier) bit for bit on a
+// grid that crosses the blocked-engine cutoff and, with k = 257 and 300,
+// the kKc commit boundary — for every tier the host runs and 1, 2 and 8
+// threads. Below the cutoff Gemm runs the panel engine; the fused product
+// reproduces its single FMA chain only where the panel engine fuses its
+// multiply-adds (see PanelRoundsLikeTier), so elsewhere those shapes are
+// left out.
+TEST(FusedGemmTest, ProductBitMatchesGemmAcrossShapesTiersAndThreads) {
+  const int64_t dims[] = {1, 7, 8, 20, 23, 24, 25, 31, 32, 80, 128, 257, 300};
+  std::vector<GemmIsa> tiers;
+  std::vector<bool> panel_matches;
+  for (CpuIsa tier : {CpuIsa::kGeneric, CpuIsa::kAvx2, CpuIsa::kAvx512}) {
+    if (!CpuIsaSupported(tier)) continue;
+    tiers.push_back(PinForTier(tier));
+    panel_matches.push_back(PanelRoundsLikeTier(tiers.back()));
+  }
+  Rng rng(229);
+  int64_t compared = 0;
+  for (int64_t m : dims) {
+    for (int64_t k : dims) {
+      for (int64_t n : dims) {
+        const bool blocked = m * k * n >= kBlockedGemmCutoff;
+        const Matrix a = RandomMatrix(m, k, &rng);
+        const Matrix b = RandomMatrix(k, n, &rng);
+        for (size_t t = 0; t < tiers.size(); ++t) {
+          if (!blocked && !panel_matches[t]) continue;
+          GemmOptions options;
+          options.isa = tiers[t];
+          Matrix want(m, n);
+          Gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, &want, options);
+          const PackedGemmOperand op(Trans::kNo, 1.0, a, tiers[t]);
+          for (int threads : {1, 2, 8}) {
+            ASSERT_TRUE(SameBits(FusedProduct({&op, 1}, b, threads), want))
+                << GemmIsaName(tiers[t]) << " " << m << "x" << k << "x" << n
+                << " threads=" << threads;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
+}
+
+// The Woodbury chain of SSC-ADMM: R = -X^T (K V), with the transposed,
+// negated second operand. Each stage equals its own Gemm bit for bit on
+// blocked shapes, and every operand is counted as one Gemm call.
+TEST(FusedGemmTest, ChainedProductMatchesTwoGemmsAndCountsBoth) {
+  struct Shape {
+    int64_t dim;
+    int64_t points;
+  };
+  for (const Shape& shape : {Shape{16, 160}, Shape{23, 300}}) {
+    Rng rng(233);
+    const Matrix x = RandomMatrix(shape.dim, shape.points, &rng);
+    const Matrix k = RandomMatrix(shape.dim, shape.points, &rng);
+    const Matrix v = RandomMatrix(shape.points, shape.points, &rng);
+    ASSERT_GE(shape.dim * shape.points * shape.points, kBlockedGemmCutoff);
+    Matrix kv(shape.dim, shape.points);
+    Gemm(Trans::kNo, Trans::kNo, 1.0, k, v, 0.0, &kv);
+    Matrix want(shape.points, shape.points);
+    Gemm(Trans::kTrans, Trans::kNo, -1.0, x, kv, 0.0, &want);
+
+    const std::vector<PackedGemmOperand> chain = [&] {
+      std::vector<PackedGemmOperand> ops;
+      ops.emplace_back(Trans::kNo, 1.0, k);
+      ops.emplace_back(Trans::kTrans, -1.0, x);
+      return ops;
+    }();
+    Counter& calls = MetricsRegistry::Global().GetCounter("linalg.gemm.calls");
+    Counter& flops = MetricsRegistry::Global().GetCounter("linalg.gemm.flops");
+    for (int threads : {1, 2, 8}) {
+      const int64_t calls_before = calls.value();
+      const int64_t flops_before = flops.value();
+      EXPECT_TRUE(SameBits(FusedProduct(chain, v, threads), want))
+          << shape.dim << "x" << shape.points << " threads=" << threads;
+      if (MetricsEnabled()) {
+        EXPECT_EQ(calls.value() - calls_before, 2);
+        EXPECT_EQ(flops.value() - flops_before,
+                  4 * shape.dim * shape.points * shape.points);
+      }
     }
   }
 }

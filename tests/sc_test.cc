@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <set>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -502,6 +504,149 @@ TEST(SscAdmmReferenceTest, SketchedSolverMatchesTextbookAdmm) {
                                     options.alpha, false,
                                     kReferenceIterations);
   ExpectMatchesReference(c->ToDense(), want);
+}
+
+// FNV-1a over 64-bit words: pins exact bits in one number.
+class Fingerprint {
+ public:
+  void Mix(uint64_t bits) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (bits >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Mix(const double* values, int64_t count) {
+    for (int64_t i = 0; i < count; ++i) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, values + i, sizeof(bits));
+      Mix(bits);
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t MatrixFingerprint(const Matrix& m) {
+  Fingerprint f;
+  f.Mix(static_cast<uint64_t>(m.rows()));
+  f.Mix(static_cast<uint64_t>(m.cols()));
+  f.Mix(m.data(), m.size());
+  return f.value();
+}
+
+// A sparse matrix's shape, structure and value bits.
+uint64_t CoefficientFingerprint(const SparseMatrix& c) {
+  Fingerprint f;
+  f.Mix(static_cast<uint64_t>(c.rows()));
+  f.Mix(static_cast<uint64_t>(c.cols()));
+  for (int64_t v : c.row_ptr()) f.Mix(static_cast<uint64_t>(v));
+  for (int64_t v : c.col_idx()) f.Mix(static_cast<uint64_t>(v));
+  f.Mix(c.values().data(), static_cast<int64_t>(c.values().size()));
+  return f.value();
+}
+
+// Whether this build's kernels contract a * b + c into one fused
+// multiply-add, as Release builds on FMA hosts do (the -O1 sanitizer builds
+// do not).
+bool KernelsFuseMultiplyAdd() {
+  const double x = 1.0 + std::ldexp(1.0, -30);
+  double y = -(1.0 + std::ldexp(1.0, -29));
+  Axpy(x, &x, &y, 1);  // x * x rounds to -y, so only an FMA leaves 2^-60
+  return y != 0.0;
+}
+
+// The output pins below were recorded on the default Release build, where
+// each solve's input has the pinned `input` bits. A pin says: from these
+// input bits, with fused multiply-adds, the solver produces these output
+// bits. Other optimization levels generate different synthetic data (an
+// -O2 build already differs in the data generator's output), so there only
+// the thread-count equality is checked.
+bool PinApplies(uint64_t input, uint64_t pinned_input) {
+  return input == pinned_input && KernelsFuseMultiplyAdd();
+}
+
+// Default-option solves at the (ambient dim, points) shapes the pipeline
+// dispatches — a 64-dim device's 20 and 80 points (20^3 sits below the
+// blocked-GEMM cutoff), a tall 1024-dim device, the Woodbury side at
+// (16, 160), and affine mode on both 64-dim shapes — pinned to the bits the
+// solver produced with one Gemm plus one update pass per iteration.
+TEST(SscAdmmPinTest, SelfExpressionBitsArePinnedAtOneAndThreeThreads) {
+  struct Pin {
+    int64_t dim;
+    int64_t subspaces;
+    int64_t per;
+    bool affine;
+    uint64_t input;
+    uint64_t bits;
+  };
+  for (const Pin& pin :
+       {Pin{64, 4, 5, false, 10141841047967863926ULL,
+            11915532036840363541ULL},
+        Pin{64, 4, 20, false, 1263233402620887023ULL,
+            9753075077178265377ULL},
+        Pin{1024, 5, 10, false, 8636109012309681073ULL,
+            8804481075559224639ULL},
+        Pin{16, 5, 32, false, 15511350186573292372ULL,
+            16184848437930021707ULL},
+        Pin{64, 4, 5, true, 10141841047967863926ULL,
+            1057493813531149286ULL},
+        Pin{64, 4, 20, true, 1263233402620887023ULL,
+            13129881617814077153ULL}}) {
+    const Matrix x = UnitSubspaces(pin.dim, pin.subspaces, pin.per, 151);
+    SCOPED_TRACE("n=" + std::to_string(pin.dim) +
+                 " N=" + std::to_string(x.cols()) +
+                 (pin.affine ? " affine" : ""));
+    SscAdmmOptions options;
+    options.affine = pin.affine;
+    uint64_t serial = 0;
+    for (int threads : {1, 3}) {
+      options.num_threads = threads;
+      auto c = SscSelfExpression(x, options);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      const uint64_t bits = CoefficientFingerprint(*c);
+      if (threads == 1) {
+        serial = bits;
+      } else {
+        EXPECT_EQ(bits, serial);
+      }
+    }
+    if (PinApplies(MatrixFingerprint(x), pin.input)) {
+      EXPECT_EQ(serial, pin.bits);
+    }
+  }
+}
+
+// The sketched solver with landmark pins, over two column blocks (256 + 144)
+// of a 128-atom dictionary: the many_devices central shape in miniature.
+TEST(SscAdmmPinTest, SketchedBitsArePinnedAtOneAndThreeThreads) {
+  const Matrix x = UnitSubspaces(64, 8, 50, 152);
+  SketchOptions sketch_options;
+  sketch_options.dim = 128;
+  sketch_options.seed = 9;
+  auto sketch = SketchDictionary(x, sketch_options);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  ASSERT_EQ(sketch->landmarks.size(), 128U);
+  SscAdmmOptions options;
+  uint64_t serial = 0;
+  for (int threads : {1, 3}) {
+    options.num_threads = threads;
+    auto c = SscSketchedSelfExpression(x, *sketch, options);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    const uint64_t bits = CoefficientFingerprint(*c);
+    if (threads == 1) {
+      serial = bits;
+    } else {
+      EXPECT_EQ(bits, serial);
+    }
+  }
+  Fingerprint input;
+  input.Mix(MatrixFingerprint(x));
+  input.Mix(MatrixFingerprint(sketch->dictionary));
+  if (PinApplies(input.value(), 10278085905262242281ULL)) {
+    EXPECT_EQ(serial, 16051641649896017591ULL);
+  }
 }
 
 TEST(SscAdmmInfoTest, ConvergedSolveReportsIterationsBelowBudget) {
